@@ -54,7 +54,7 @@ from .rounded import (
     verify_two_rounded,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "BinaryMatroid",

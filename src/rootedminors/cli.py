@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Exit codes: 0 = success or verified pass, 1 = verified negative (a search
-or verification ran fine and the answer is "no"), 2 = usage error.
+or verification ran fine and the answer is "no"), 2 = usage error,
+3 = inconclusive (a search hit its node cap, so there is no answer).
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from . import catalog, io, matroids, minors, rounded, verification
 from .matroids import MatroidError
 from .multigraph import GraphError
 
-PASS, FAIL, USAGE = 0, 1, 2
+PASS, FAIL, USAGE, INCONCLUSIVE = 0, 1, 2, 3
 
 
 @dataclass
@@ -325,6 +326,12 @@ def dispatch(argv=None):
     except OSError as err:
         print("error: %s" % err, file=sys.stderr)
         return USAGE
+    except minors.SearchBudgetExceeded as err:
+        print("inconclusive: %s (node cap %d)" % (err, config.node_cap),
+              file=sys.stderr)
+        if args.json:
+            _emit(args, config, {"found": None, "outcome": "budget"}, [])
+        return INCONCLUSIVE
 
 
 def main():

@@ -7,7 +7,9 @@ sets of at most 12 elements.
 """
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 
@@ -453,8 +455,14 @@ def verify_r12_claims():
     witness.  The simplified single-element contractions of R12 are the
     cycle matroid of the one-added-edge K3,3 extension (rank 5, 10
     elements; the 11-edge two-added-edge extension is ruled out by
-    cardinality).
+    cardinality).  The checks run once per process; each caller gets its
+    own copy of the report.
     """
+    return copy.deepcopy(_r12_claims())
+
+
+@lru_cache(maxsize=None)
+def _r12_claims():
     from . import catalog
 
     m = r12()

@@ -11,6 +11,8 @@ needs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import permutations
 
 import networkx as nx
 
@@ -40,14 +42,6 @@ class MinorModel:
             "deleted": sorted(self.deleted),
             "iso": {str(v): p for v, p in sorted(self.iso.items())},
         }
-
-
-@dataclass(frozen=True)
-class RootedQuery:
-    host: LabeledMultigraph
-    family: tuple
-    required: frozenset
-    triangle: tuple | None = None
 
 
 def forest_classes(host, contracted):
@@ -159,29 +153,45 @@ def _connected_subsets(adj, allowed, must, max_size, budget):
             yield from rec({root}, ext, set())
 
 
-def _pin_assignments(required, host, pattern_adj):
-    """All consistent ways to map required host edges onto pattern edges.
+def _pin_assignments(required, host, pattern):
+    """One host-vertex -> pattern-vertex pin map per orbit under Aut(pattern).
 
-    Yields host-vertex -> pattern-vertex pin maps; two required edges never
-    share a pattern edge (patterns are simple, so each pattern edge can keep
-    only one host edge).
+    A pin map sends each required host edge onto its own pattern edge
+    (patterns are simple, so each pattern edge can keep only one host edge).
+    Maps that differ by an automorphism of the pattern have models or not
+    together, so only the first map of each orbit, in enumeration order, is
+    yielded; the first map that succeeds is then the same as over all maps.
     """
-    req = sorted(required)
-    pat_edges = []
-    for p, nbrs in pattern_adj.items():
-        for q in nbrs:
-            if p < q:
-                pat_edges.append((p, q))
-    pat_edges.sort()
+    slots = {}
+    shape = []
+    for e in sorted(required):
+        x, y = host.endpoints(e)
+        shape.append((slots.setdefault(x, len(slots)),
+                      slots.setdefault(y, len(slots))))
+    vertex_of = sorted(slots, key=slots.get)
+    edges = tuple(sorted({(min(a, b), max(a, b))
+                          for a, b in pattern.edges.values() if a != b}))
+    for rep in _orbit_representatives(tuple(pattern.sorted_vertices()), edges,
+                                      tuple(shape)):
+        yield dict(zip(vertex_of, rep))
+
+
+@lru_cache(maxsize=None)
+def _orbit_representatives(vertices, edges, shape):
+    """Slot -> pattern-vertex tuples, the first of each Aut(pattern) orbit."""
+    pairs = {frozenset(e) for e in edges}
+    sigmas = (dict(zip(vertices, perm)) for perm in permutations(vertices))
+    auts = [sigma for sigma in sigmas
+            if all(frozenset((sigma[p], sigma[q])) in pairs for p, q in edges)]
 
     def rec(i, pins, used_edges):
-        if i == len(req):
-            yield dict(pins)
+        if i == len(shape):
+            yield tuple(pins.values())  # slots were inserted in order
             return
-        x, y = host.endpoints(req[i])
+        x, y = shape[i]
         if x == y:
             return  # a loop can never be a kept pattern edge
-        for p, q in pat_edges:
+        for p, q in edges:
             if (p, q) in used_edges:
                 continue
             for px, py in ((p, q), (q, p)):
@@ -191,7 +201,12 @@ def _pin_assignments(required, host, pattern_adj):
                 new_pins[x], new_pins[y] = px, py
                 yield from rec(i + 1, new_pins, used_edges | {(p, q)})
 
-    yield from rec(0, {}, frozenset())
+    reps, seen = [], set()
+    for pins in rec(0, {}, frozenset()):
+        if pins not in seen:
+            reps.append(pins)
+            seen.update(tuple(sigma[p] for p in pins) for sigma in auts)
+    return tuple(reps)
 
 
 def _spanning_tree_edges(host, branch):
@@ -267,7 +282,7 @@ def find_minor(host, pattern, required=(), pattern_name="", node_cap=DEFAULT_NOD
     pattern_adj = pattern.adjacency()
     budget = [node_cap]
 
-    for pins in _pin_assignments(required, host, pattern_adj):
+    for pins in _pin_assignments(required, host, pattern):
         pins_by_p = {}
         for v, p in pins.items():
             pins_by_p.setdefault(p, set()).add(v)
@@ -372,36 +387,13 @@ def preserve_triangle_k331(host, triangle, node_cap=DEFAULT_NODE_CAP):
 def preserve_triangle_k5(host, triangle, node_cap=DEFAULT_NODE_CAP):
     """A K5 minor model keeping the triangle's edges as a pattern triangle.
 
-    For hosts other than K5 itself: take a triangle-preserving K33_11 model
-    and contract the kept edge playing the u1v1 role, which lies in no
-    triangle of K33_11.  Some hosts (K33_13 with its class triangle is the
-    smallest) admit a triangle-preserving K5 model but no triangle-preserving
-    K33_11 model, so a direct rooted search backs up the contraction route.
+    A direct rooted K5 search with the triangle's edges required; on K5
+    itself it returns the identity model.  It does not go through a K33_11
+    model: some hosts (K33_13 with its class triangle is the smallest) have a
+    triangle-preserving K5-minor but no triangle-preserving K33_11-minor.
     """
-    k5 = catalog.build("K5").graph
-    identity = are_isomorphic(host, k5)
-    if identity is not None:
-        return MinorModel(host, frozenset(), frozenset(), "K5", identity)
-    base = preserve_triangle_k331(host, triangle, node_cap=node_cap)
-    if base is None:
-        hit = find_family_minor(host, ("K5",), triangle=triangle,
-                                node_cap=node_cap)
-        return hit[1] if hit else None
-    entry = catalog.build("K33_11")
-    u1v1 = {entry.vertex("u1"), entry.vertex("v1")}
-    merge = forest_classes(host, base.contracted)
-    inv = {p: v for v, p in base.iso.items()}
-    target = {inv[p] for p in u1v1}
-    bridge = None
-    for e in sorted(frozenset(host.edge_ids()) - base.contracted - base.deleted):
-        a, b = host.endpoints(e)
-        if {merge[a], merge[b]} == target:
-            bridge = e
-            break
-    contracted = base.contracted | {bridge}
-    result = apply_model(host, contracted, base.deleted)
-    iso = are_isomorphic(result, k5)
-    return MinorModel(host, contracted, frozenset(base.deleted), "K5", iso)
+    hit = find_family_minor(host, ("K5",), triangle=triangle, node_cap=node_cap)
+    return hit[1] if hit else None
 
 
 def is_planar(g):

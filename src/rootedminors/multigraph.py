@@ -128,13 +128,6 @@ class LabeledMultigraph:
         edges[eid] = (a, b)
         return LabeledMultigraph(self._vertices | {a, b}, edges)
 
-    def without_vertices(self, drop):
-        drop = set(drop)
-        for v in drop:
-            if self.degree(v) != 0:
-                raise GraphError("vertex %r is not isolated" % (v,))
-        return LabeledMultigraph(self._vertices - drop, self._edges)
-
     def fresh_edge_id(self):
         return max(self._edges, default=0) + 1
 

@@ -2,7 +2,7 @@
 import json
 
 from rootedminors import catalog, io
-from rootedminors.cli import FAIL, PASS, USAGE, dispatch
+from rootedminors.cli import FAIL, INCONCLUSIVE, PASS, USAGE, dispatch
 
 
 def _run(capsys, *argv):
@@ -36,6 +36,20 @@ def test_minor_find_absent(tmp_path, capsys):
     code, _ = _run(capsys, "minor", "find", "--host", str(host),
                    "--pattern", "K33")
     assert code == FAIL
+
+
+def test_node_cap_overrun_is_inconclusive(tmp_path, capsys):
+    host = tmp_path / "host.json"
+    host.write_text(io.to_json(catalog.build("K33_13").graph))
+    argv = ["--node-cap", "3", "minor", "find", "--host", str(host),
+            "--pattern", "K5"]
+    assert dispatch(argv) == INCONCLUSIVE
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert captured.err.startswith("inconclusive:")
+    assert dispatch(["--json"] + argv) == INCONCLUSIVE
+    assert json.loads(capsys.readouterr().out) == {"found": None,
+                                                   "outcome": "budget"}
 
 
 def test_minor_find_with_certificate_round_trip(tmp_path, capsys):

@@ -232,3 +232,10 @@ def test_r12_automorphism_orbits():
     circuits = c7.circuits()
     for e, f in combinations(c7.elements, 2):
         assert any(e in c and f in c for c in circuits)
+
+
+def test_r12_claims_callers_get_independent_copies():
+    first = verify_r12_claims()
+    first["pair_coverage"]["covered"] = 0
+    first.clear()
+    assert verify_r12_claims()["pair_coverage"]["covered"] == 66

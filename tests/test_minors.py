@@ -1,5 +1,5 @@
 """Rooted minor search: models, verification, triangle preservation."""
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -318,3 +318,107 @@ def test_model_json_shape():
     assert set(data) == {"pattern", "contracted", "deleted", "iso"}
     assert data["pattern"] == "K5"
     assert data["contracted"] == sorted(model.contracted)
+
+
+def _pattern_pairs(pattern):
+    return {frozenset(pair) for pair in pattern.edges.values()}
+
+
+def _all_pin_maps(required, host, pattern):
+    """Every pin map, found by trying every vertex map of the endpoints."""
+    ends = sorted({v for e in required for v in host.endpoints(e)})
+    pairs = _pattern_pairs(pattern)
+    maps = []
+    for images in product(pattern.sorted_vertices(), repeat=len(ends)):
+        pins = dict(zip(ends, images))
+        kept = [frozenset(pins[v] for v in host.endpoints(e))
+                for e in required]
+        if all(k in pairs for k in kept) and len(set(kept)) == len(kept):
+            maps.append(pins)
+    return maps
+
+
+def _automorphisms(pattern):
+    verts = pattern.sorted_vertices()
+    pairs = _pattern_pairs(pattern)
+    return [sigma for sigma in (dict(zip(verts, perm))
+                                for perm in permutations(verts))
+            if {frozenset(sigma[v] for v in pair) for pair in pairs} == pairs]
+
+
+def _disjoint_pair(g):
+    e, *rest = sorted(g.edges)
+    ends = set(g.endpoints(e))
+    return e, next(f for f in rest if not ends & set(g.endpoints(f)))
+
+
+ORBIT_TABLE = [
+    ("K5", "triangle", 60, 1),
+    ("K33_11", "triangle", 36, 6),
+    ("K33", "disjoint pair", 288, 6),
+    ("K5", "disjoint pair", 360, 5),
+]
+
+
+@pytest.mark.parametrize("pattern_name,kind,maps,orbits", ORBIT_TABLE)
+def test_pin_map_orbits_partition_all_pin_maps(pattern_name, kind, maps,
+                                               orbits):
+    pattern = catalog.build(pattern_name).graph
+    host = catalog.build("K33_22").graph
+    required = (host.triangles()[0] if kind == "triangle"
+                else _disjoint_pair(host))
+    reps = list(minors._pin_assignments(required, host, pattern))
+    full = _all_pin_maps(required, host, pattern)
+    assert (len(full), len(reps)) == (maps, orbits)
+    key = lambda pins: tuple(sorted(pins.items()))
+    auts = _automorphisms(pattern)
+    orbit_of = [{key({v: sigma[p] for v, p in rep.items()}) for sigma in auts}
+                for rep in reps]
+    assert sum(len(orbit) for orbit in orbit_of) == len(full)
+    assert set().union(*orbit_of) == {key(pins) for pins in full}
+
+
+def _pin_maps_in_full(required, host, pattern):
+    """Every pin map in the order of the search before orbit reduction."""
+    req = sorted(required)
+    pat_edges = sorted(tuple(sorted(pair)) for pair in _pattern_pairs(pattern))
+
+    def rec(i, pins, used):
+        if i == len(req):
+            yield dict(pins)
+            return
+        x, y = host.endpoints(req[i])
+        if x == y:
+            return
+        for p, q in pat_edges:
+            if (p, q) in used:
+                continue
+            for px, py in ((p, q), (q, p)):
+                if pins.get(x, px) == px and pins.get(y, py) == py:
+                    yield from rec(i + 1, {**pins, x: px, y: py},
+                                   used | {(p, q)})
+
+    yield from rec(0, {}, frozenset())
+
+
+def _pinned_queries():
+    for name in catalog.list_names():
+        g = catalog.build(name).graph
+        for tri in g.triangles():
+            for pattern_name in ("K33_11", "K5"):
+                yield name, pattern_name, tuple(tri)
+        for pair in list(combinations(sorted(g.edges), 2))[::3]:
+            for pattern_name in ("K33", "K5"):
+                yield name, pattern_name, pair
+
+
+def test_orbit_reduction_returns_the_full_search_model(monkeypatch):
+    queries = list(_pinned_queries())
+    reduced = [find_minor(catalog.build(h).graph, p, required=req)
+               for h, p, req in queries]
+    monkeypatch.setattr(minors, "_pin_assignments", _pin_maps_in_full)
+    full = [find_minor(catalog.build(h).graph, p, required=req)
+            for h, p, req in queries]
+    assert any(m is None for m in full) and any(m is not None for m in full)
+    for query, a, b in zip(queries, reduced, full):
+        assert (a and a.to_json_dict()) == (b and b.to_json_dict()), query
