@@ -17,7 +17,6 @@ from .matroids import (
     matroid_isomorphic,
     r10,
     r12,
-    simplify_matroid,
     verify_r12_claims,
 )
 from .minors import (
@@ -97,7 +96,6 @@ __all__ = [
     "preserve_triangle_k5",
     "r10",
     "r12",
-    "simplify_matroid",
     "to_graph6",
     "to_json",
     "verify_model",

@@ -23,7 +23,6 @@ class RunConfig:
     node_cap: int = minors.DEFAULT_NODE_CAP
     seed: int = 0
     output: str | None = None
-    verbosity: int = 0
 
     def __post_init__(self):
         if self.node_cap <= 0:
@@ -36,7 +35,7 @@ def _load_config(args):
         with open(args.config, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
         keymap = {"search-node-cap": "node_cap", "seed": "seed",
-                  "output-path": "output", "verbosity": "verbosity"}
+                  "output-path": "output"}
         for k, v in raw.items():
             if k not in keymap:
                 raise ValueError("unknown config key %r" % k)
@@ -47,8 +46,6 @@ def _load_config(args):
         values["seed"] = args.seed
     if args.output is not None:
         values["output"] = args.output
-    if args.verbose:
-        values["verbosity"] = args.verbose
     return RunConfig(**values)
 
 
@@ -245,7 +242,6 @@ def build_parser():
                         help="seed for randomized verification runs")
     parser.add_argument("--output", default=None,
                         help="also write JSON output to this path")
-    parser.add_argument("-v", "--verbose", action="count", default=0)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("catalog", help="named ground-truth graphs")

@@ -13,7 +13,8 @@ from itertools import combinations, permutations
 from math import factorial
 
 from .isomorphism import are_isomorphic
-from .multigraph import LabeledMultigraph, is_three_connected
+from .multigraph import (LabeledMultigraph, is_three_connected,
+                         three_connected_splits)
 
 
 def _from_pairs(n, pairs):
@@ -141,31 +142,6 @@ def wheel(spokes):
     return _from_pairs(spokes + 1, pairs)
 
 
-def _all_splits(g):
-    """Every simple 3-connected single-vertex split of g, raw (no dedup)."""
-    from .multigraph import VertexSplit
-
-    out = []
-    for v in g.sorted_vertices():
-        inc = sorted(g.incident(v))
-        if len(inc) < 4:
-            continue
-        rest = inc[1:]
-        first = inc[0]
-        for k in range(1, len(rest)):
-            for combo in combinations(rest, k):
-                part_a = (first,) + combo
-                part_b = tuple(e for e in rest if e not in combo)
-                if len(part_b) < 2:
-                    continue
-                split = VertexSplit(v, frozenset(part_a), frozenset(part_b),
-                                    g.fresh_edge_id())
-                h = g.split_vertex(split)
-                if h.is_simple() and is_three_connected(h):
-                    out.append((h, split))
-    return out
-
-
 def three_connected_by_wheels(max_n):
     """All 3-connected simple graphs on <= max_n vertices via wheel closure.
 
@@ -189,7 +165,7 @@ def three_connected_by_wheels(max_n):
             if pair not in present:
                 fresh.append(g.with_edge(g.fresh_edge_id(), *pair))
         if g.n < max_n:
-            fresh.extend(h for h, _ in _all_splits(g))
+            fresh.extend(h for h, _ in three_connected_splits(g))
         for h in fresh:
             if _add_new(buckets, h):
                 classes.append(h)

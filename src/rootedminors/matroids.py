@@ -247,10 +247,6 @@ class BinaryMatroid:
         )
 
 
-def simplify_matroid(m):
-    return m.simplify()
-
-
 def cycle_matroid(g):
     """GF(2) vertex-edge incidence matroid of a multigraph; elements = edge ids."""
     order = g.sorted_vertices()

@@ -44,8 +44,12 @@ class MinorModel:
         }
 
 
-def forest_classes(host, contracted):
-    """Union-find over the contracted edges; raises if C contains a cycle."""
+def _spanning_forest(host, edges):
+    """Union-find over `edges` in id order: (forest edges, vertex -> root).
+
+    An edge joining two vertices already in one class is left out of the
+    forest.  Each class is rooted at its smallest vertex.
+    """
     parent = {v: v for v in host.vertices}
 
     def find(v):
@@ -54,13 +58,24 @@ def forest_classes(host, contracted):
             v = parent[v]
         return v
 
-    for e in sorted(contracted):
+    forest = []
+    for e in sorted(edges):
         a, b = host.endpoints(e)
         ra, rb = find(a), find(b)
-        if ra == rb:
-            raise GraphError("contracted set is not a forest (edge %r)" % (e,))
-        parent[max(ra, rb)] = min(ra, rb)
-    return {v: find(v) for v in host.vertices}
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+            forest.append(e)
+    return forest, {v: find(v) for v in host.vertices}
+
+
+def forest_classes(host, contracted):
+    """Vertex -> class root under the contracted edges; raises if C has a cycle."""
+    forest, roots = _spanning_forest(host, contracted)
+    left_out = set(contracted).difference(forest)
+    if left_out:
+        raise GraphError("contracted set is not a forest (edge %r)"
+                         % (min(left_out),))
+    return roots
 
 
 def apply_model(host, contracted, deleted):
@@ -209,36 +224,15 @@ def _orbit_representatives(vertices, edges, shape):
     return tuple(reps)
 
 
-def _spanning_tree_edges(host, branch):
-    parent = {v: v for v in branch}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    tree = []
-    for e in host.edge_ids():
-        a, b = host.endpoints(e)
-        if a in branch and b in branch and a != b:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-                tree.append(e)
-    return tree
-
-
 def _build_model(host, pattern, pattern_name, branches, required):
     """Assemble a MinorModel from a complete branch-set placement."""
     branch_of = {}
     for p, sub in branches.items():
         for v in sub:
             branch_of[v] = p
-    contracted = []
-    for p in sorted(branches):
-        contracted.extend(_spanning_tree_edges(host, branches[p]))
-    contracted = frozenset(contracted)
+    inside = [e for e, (a, b) in host.edges.items()
+              if a in branch_of and branch_of[a] == branch_of.get(b)]
+    contracted = frozenset(_spanning_forest(host, inside)[0])
     between = {}
     for e in host.edge_ids():
         if e in contracted:

@@ -286,6 +286,33 @@ class VertexSplit:
     new_edge_id: int
 
 
+def three_connected_splits(g):
+    """Every simple 3-connected single-vertex split of g, as (graph, split).
+
+    Only vertices of degree >= 4 qualify, since a part of one edge would
+    leave a degree-2 end.  The smallest incident edge stays on the vertex,
+    so each partition is produced once; vertices are taken in sorted order.
+    No isomorph dedup is done.
+    """
+    out = []
+    for v in g.sorted_vertices():
+        inc = g.incident(v)
+        if len(inc) < 4:
+            continue
+        first, rest = inc[0], inc[1:]
+        for k in range(1, len(rest)):
+            for combo in combinations(rest, k):
+                part_b = tuple(e for e in rest if e not in combo)
+                if len(part_b) < 2:
+                    continue
+                split = VertexSplit(v, frozenset((first,) + combo),
+                                    frozenset(part_b), g.fresh_edge_id())
+                h = g.split_vertex(split)
+                if h.is_simple() and is_three_connected(h):
+                    out.append((h, split))
+    return out
+
+
 def complete_graph(n):
     vertices = range(n)
     edges = {}
@@ -301,29 +328,10 @@ def cycle_graph(n):
     return LabeledMultigraph(range(n), edges)
 
 
-def _components(vertices, adj):
-    seen = set()
-    comps = []
-    for s in sorted(vertices):
-        if s in seen:
-            continue
-        comp = {s}
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            for u in adj[v]:
-                if u not in comp:
-                    comp.add(u)
-                    queue.append(u)
-        seen |= comp
-        comps.append(comp)
-    return comps
-
-
 def is_connected(g):
     if g.n == 0:
         return True
-    return len(_components(g.vertices, g.adjacency())) == 1
+    return _connected_after_removal(g.adjacency(), g.sorted_vertices(), ())
 
 
 def _local_connectivity(adj, order, s, t):
@@ -375,7 +383,7 @@ def vertex_connectivity(g):
     ]
     if not nonadjacent:
         return n - 1
-    if len(_components(sg.vertices, adj)) > 1:
+    if not _connected_after_removal(adj, order, ()):
         return 0
     return min(_local_connectivity(adj, order, s, t) for s, t in nonadjacent)
 

@@ -15,7 +15,8 @@ from . import catalog
 from .io import to_json_dict
 from .isomorphism import are_isomorphic
 from .minors import DEFAULT_NODE_CAP, FAMILY_A, FAMILY_B, find_family_minor
-from .multigraph import VertexSplit, is_three_connected
+from .multigraph import (VertexSplit, is_three_connected,
+                         three_connected_splits)
 
 
 @dataclass(frozen=True)
@@ -93,7 +94,7 @@ def _entry(name_or_entry):
     return name_or_entry
 
 
-def enumerate_extensions(entry, dedup=True):
+def enumerate_extensions(entry):
     """Simple 3-connected one-edge extensions, one per tagged-isomorphism class."""
     entry = _entry(entry)
     g = entry.graph
@@ -105,35 +106,16 @@ def enumerate_extensions(entry, dedup=True):
         h = g.with_edge(eid, a, b)
         if is_three_connected(h):
             out.append(Candidate(entry.name, "extension", h, eid, (a, b)))
-    return _dedup(out) if dedup else out
+    return _dedup(out)
 
 
-def enumerate_coextensions(entry, dedup=True):
-    """Simple 3-connected vertex splits, one per tagged-isomorphism class.
-
-    Splitting a vertex of degree < 4 would leave a degree-2 end, so only
-    degree->=4 vertices and partitions with both parts of size >= 2 qualify.
-    """
+def enumerate_coextensions(entry):
+    """Simple 3-connected vertex splits, one per tagged-isomorphism class."""
     entry = _entry(entry)
-    g = entry.graph
-    out = []
-    for v in g.sorted_vertices():
-        inc = sorted(g.incident(v))
-        if len(inc) < 4:
-            continue
-        first, rest = inc[0], inc[1:]
-        for k in range(1, len(rest)):
-            for combo in combinations(rest, k):
-                part_b = tuple(e for e in rest if e not in combo)
-                if len(part_b) < 2:
-                    continue
-                split = VertexSplit(v, frozenset((first,) + combo),
-                                    frozenset(part_b), g.fresh_edge_id())
-                h = g.split_vertex(split)
-                if h.is_simple() and is_three_connected(h):
-                    out.append(Candidate(entry.name, "coextension", h,
-                                         split.new_edge_id, split))
-    return _dedup(out) if dedup else out
+    return _dedup([
+        Candidate(entry.name, "coextension", h, split.new_edge_id, split)
+        for h, split in three_connected_splits(entry.graph)
+    ])
 
 
 def verify_two_rounded(family, node_cap=DEFAULT_NODE_CAP):

@@ -1,6 +1,8 @@
 """Command-line interface: dispatch, exit codes, JSON output, certificates."""
 import json
 
+import pytest
+
 from rootedminors import catalog, io
 from rootedminors.cli import FAIL, INCONCLUSIVE, PASS, USAGE, dispatch
 
@@ -146,6 +148,20 @@ def test_config_file_sets_node_cap(tmp_path, capsys):
     cfg.write_text(json.dumps({"search-node-cap": 0}))
     code, _ = _run(capsys, "--config", str(cfg), "catalog", "list")
     assert code == USAGE  # cap must be positive
+
+
+def test_config_file_rejects_verbosity(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"verbosity": 1}))
+    code = dispatch(["--config", str(cfg), "catalog", "list"])
+    assert code == USAGE
+    assert "unknown config key" in capsys.readouterr().err
+
+
+def test_verbose_flag_is_rejected():
+    with pytest.raises(SystemExit) as exc:
+        dispatch(["-v", "catalog", "list"])
+    assert exc.value.code == 2
 
 
 def test_output_path_mirrors_json(tmp_path, capsys):

@@ -1,0 +1,37 @@
+"""Source hygiene: no dead module-level imports, no dangling exports."""
+import ast
+from pathlib import Path
+
+import pytest
+
+import rootedminors
+
+SOURCES = sorted(p for p in Path(rootedminors.__file__).parent.glob("*.py")
+                 if p.name != "__init__.py")
+
+
+def _unused_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unused_module_level_imports(path):
+    assert _unused_imports(path) == []
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in rootedminors.__all__
+               if not hasattr(rootedminors, name)]
+    assert missing == []

@@ -13,7 +13,6 @@ from rootedminors.matroids import (
     matroid_isomorphic,
     r10,
     r12,
-    simplify_matroid,
     validate_matroid_iso,
     verify_r12_claims,
 )
@@ -59,17 +58,17 @@ def test_loops_and_parallels():
     m = cycle_matroid(g)
     assert m.rank([4]) == 0  # loop
     assert m.rank([1, 2]) == 1  # parallel pair
-    s = simplify_matroid(m)
+    s = m.simplify()
     assert s.elements == (1, 3)
 
 
 def test_simplify_is_identity_on_simple():
     m = r12()
-    assert simplify_matroid(m).elements == m.elements
+    assert m.simplify().elements == m.elements
 
 
 def test_si_of_r12_contraction_has_10_elements():
-    si = simplify_matroid(r12().contract(1))
+    si = r12().contract(1).simplify()
     assert si.rank_value == 5 and si.size == 10
 
 

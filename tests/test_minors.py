@@ -43,7 +43,9 @@ def test_apply_model_keeps_edge_ids():
 def test_apply_model_rejects_cyclic_contraction():
     g = complete_graph(4)
     tri = [e for e, pair in g.edges.items() if 3 not in pair]
-    with pytest.raises(GraphError):
+    assert tri == [1, 2, 4]
+    # the smallest edge that closes a cycle in id order is named
+    with pytest.raises(GraphError, match=r"\(edge 4\)"):
         apply_model(g, tri, ())
 
 
@@ -85,6 +87,26 @@ def test_models_are_deterministic():
     assert m1.contracted == m2.contracted
     assert m1.deleted == m2.deleted
     assert m1.iso == m2.iso
+
+
+def test_models_match_golden_certificates():
+    # recorded from an earlier implementation; each model contracts edges,
+    # so a change in how C is chosen shows here
+    fig2b = catalog.build("FIG2_B").graph
+    models = [
+        find_minor(petersen(), "K5"),
+        preserve_triangle_k5(fig2b, fig2b.triangles()[0]),
+        find_family_minor(catalog.build("G5").graph, FAMILY_A,
+                          required={1, 12})[1],
+    ]
+    assert [m.to_json_dict() for m in models] == [
+        {"pattern": "K5", "contracted": [1, 3, 10, 11, 12], "deleted": [],
+         "iso": {"0": 0, "2": 1, "4": 2, "5": 3, "6": 4}},
+        {"pattern": "K5", "contracted": [2, 11], "deleted": [6],
+         "iso": {"0": 0, "1": 1, "3": 3, "4": 4, "6": 2}},
+        {"pattern": "K33", "contracted": [10], "deleted": [3, 9],
+         "iso": {"0": 0, "1": 2, "2": 1, "3": 3, "4": 5, "5": 4}},
+    ]
 
 
 def test_required_edges_stay_in_the_result():

@@ -13,6 +13,7 @@ from rootedminors.multigraph import (
     cycle_graph,
     is_connected,
     is_three_connected,
+    three_connected_splits,
     vertex_connectivity,
 )
 
@@ -203,3 +204,28 @@ def test_is_three_connected():
 def test_is_connected():
     assert is_connected(cycle_graph(4))
     assert not is_connected(LabeledMultigraph({0, 1, 2}, {1: (0, 1)}))
+    assert is_connected(LabeledMultigraph((), {}))
+    assert is_connected(LabeledMultigraph({0}, {}))
+    # a loop and a parallel pair neither join nor split components
+    multi = {1: (0, 1), 2: (0, 1), 3: (2, 2), 4: (1, 2)}
+    assert not is_connected(LabeledMultigraph({0, 1, 2, 3}, multi))
+    assert is_connected(LabeledMultigraph({0, 1, 2, 3}, {**multi, 5: (2, 3)}))
+
+
+@pytest.mark.parametrize("name, count", [
+    ("K5", 15), ("K33_11", 12), ("K33", 0), ("K33_01", 6),
+])
+def test_three_connected_splits(name, count):
+    g = catalog.build(name).graph
+    splits = three_connected_splits(g)
+    assert len(splits) == count
+    partitions = set()
+    for h, split in splits:
+        assert split.part_a | split.part_b == set(g.incident(split.vertex))
+        assert not split.part_a & split.part_b
+        assert len(split.part_a) >= 2 and len(split.part_b) >= 2
+        partitions.add((split.vertex, frozenset((split.part_a, split.part_b))))
+        assert h.is_simple() and is_three_connected(h)
+        back, _ = h.contract_edge(split.new_edge_id).simplify()
+        assert are_isomorphic(back, g) is not None
+    assert len(partitions) == count

@@ -4,6 +4,7 @@ import json
 from rootedminors import catalog, rounded
 from rootedminors.isomorphism import are_isomorphic
 from rootedminors.minors import FAMILY_A, FAMILY_B
+from rootedminors.multigraph import three_connected_splits
 
 
 def _iso(g, name):
@@ -55,7 +56,10 @@ def test_candidates_restore_their_parent():
 def test_dedup_is_sound_and_complete():
     for name in ("K33_02", "K33_11"):
         deduped = rounded.enumerate_coextensions(name)
-        raw = rounded.enumerate_coextensions(name, dedup=False)
+        raw = [
+            rounded.Candidate(name, "coextension", h, split.new_edge_id, split)
+            for h, split in three_connected_splits(catalog.build(name).graph)
+        ]
         # no two kept candidates are equivalent
         for i, a in enumerate(deduped):
             for b in deduped[i + 1:]:
