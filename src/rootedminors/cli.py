@@ -29,17 +29,37 @@ class RunConfig:
             raise ValueError("node cap must be positive")
 
 
+def _read_json(path, error, kind=dict, keys=()):
+    """Parse a JSON input file, raising `error` if it is not valid JSON of
+    type `kind` with every key in `keys`."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except ValueError as err:
+            raise error("%s: invalid JSON: %s" % (path, err)) from None
+    if not isinstance(data, kind):
+        raise error("%s: expected a JSON %s" % (path, kind.__name__))
+    missing = [k for k in keys if k not in data]
+    if missing:
+        raise error("%s: missing key %s" % (path, ", ".join(missing)))
+    return data
+
+
+_CONFIG_KEYS = {"search-node-cap": ("node_cap", int), "seed": ("seed", int),
+                "output-path": ("output", str)}
+
+
 def _load_config(args):
     values = {}
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        keymap = {"search-node-cap": "node_cap", "seed": "seed",
-                  "output-path": "output"}
-        for k, v in raw.items():
-            if k not in keymap:
+        for k, v in _read_json(args.config, ValueError).items():
+            if k not in _CONFIG_KEYS:
                 raise ValueError("unknown config key %r" % k)
-            values[keymap[k]] = v
+            field, kind = _CONFIG_KEYS[k]
+            if not isinstance(v, kind) or isinstance(v, bool):
+                raise ValueError("config key %r must be %s, got %r"
+                                 % (k, kind.__name__, v))
+            values[field] = v
     if args.node_cap is not None:
         values["node_cap"] = args.node_cap
     if args.seed is not None:
@@ -107,15 +127,15 @@ def _pattern_arg(text):
 def _cmd_minor(args, config):
     if args.action == "verify":
         host = io.load_graph(args.host)
-        with open(args.certificate_in, "r", encoding="utf-8") as fh:
-            cert = json.load(fh)
-        model = minors.MinorModel(
-            host,
-            frozenset(cert["contracted"]),
-            frozenset(cert["deleted"]),
-            cert["pattern"],
-            {int(k): v for k, v in cert["iso"].items()},
-        )
+        cert = _read_json(args.certificate_in, GraphError,
+                          keys=("contracted", "deleted", "pattern", "iso"))
+        try:
+            iso = {int(k): v for k, v in cert["iso"].items()}
+            model = minors.MinorModel(host, frozenset(cert["contracted"]),
+                                      frozenset(cert["deleted"]),
+                                      cert["pattern"], iso)
+        except (AttributeError, TypeError, ValueError):
+            raise GraphError("%s: malformed certificate" % args.certificate_in)
         ok, diagnostics = minors.verify_model(model)
         _emit(args, config, {"valid": ok, "diagnostics": diagnostics},
               ["valid" if ok else "invalid"] + diagnostics)
@@ -163,13 +183,11 @@ def _cmd_rounded(args, config):
     if args.family in rounded.NAMED_FAMILIES:
         family = rounded.NAMED_FAMILIES[args.family]
     else:
-        with open(args.family, "r", encoding="utf-8") as fh:
-            family = tuple(json.load(fh))
+        family = tuple(_read_json(args.family, GraphError, kind=list))
+        if not all(isinstance(name, str) for name in family):
+            raise GraphError("%s: family entries must be names" % args.family)
     report = rounded.verify_two_rounded(family, node_cap=config.node_cap)
     payload = report.to_json_dict()
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     lines = ["family: %s" % ", ".join(family),
              "candidates: %d" % len(report.candidates),
              "failures: %d" % len(report.failures),
@@ -185,8 +203,7 @@ def _matroid_arg(text):
         return matroids.r10()
     if text in catalog.list_names():
         return matroids.cycle_matroid(catalog.build(text).graph)
-    with open(text, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = _read_json(text, MatroidError, keys=("rows", "elements"))
     return matroids.BinaryMatroid.from_rows(data["rows"], data["elements"])
 
 
@@ -280,7 +297,6 @@ def build_parser():
     ver = ps.add_parser("verify")
     ver.add_argument("--family", required=True,
                      help="a, b, or a JSON file with catalog names")
-    ver.add_argument("--report", help="write the full report here")
 
     p = sub.add_parser("matroid", help="GF(2) matroid operations")
     ps = p.add_subparsers(dest="action", required=True)

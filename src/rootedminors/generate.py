@@ -23,11 +23,11 @@ def _from_pairs(n, pairs):
 
 
 def _invariant_key(g):
-    degs = tuple(sorted(g.degree(v) for v in g.vertices))
+    deg = {v: g.degree(v) for v in g.vertices}
     nbr = tuple(sorted(
-        tuple(sorted(g.degree(u) for u in g.neighbors(v))) for v in g.vertices
+        tuple(sorted(deg[u] for u in g.neighbors(v))) for v in g.vertices
     ))
-    return (g.n, g.m, degs, nbr, len(g.triangles()))
+    return (g.n, g.m, tuple(sorted(deg.values())), nbr, len(g.triangles()))
 
 
 def _add_new(buckets, g):

@@ -20,12 +20,30 @@ def to_json(g):
 
 
 def from_json_dict(data):
-    edges = {rec["id"]: (rec["a"], rec["b"]) for rec in data.get("edges", ())}
-    return LabeledMultigraph(data.get("vertices", ()), edges)
+    if not isinstance(data, dict):
+        raise GraphError("graph JSON must be an object")
+    vertices = data.get("vertices", [])
+    if not isinstance(vertices, list) or not all(
+            isinstance(v, int) for v in vertices):
+        raise GraphError("vertices must be a list of integers")
+    edges = {}
+    for rec in data.get("edges", ()):
+        if not isinstance(rec, dict) or not all(
+                isinstance(rec.get(k), int) for k in ("id", "a", "b")):
+            raise GraphError("edge record %r needs integer id, a and b"
+                             % (rec,))
+        if rec["id"] in edges:
+            raise GraphError("duplicate edge id %r" % (rec["id"],))
+        edges[rec["id"]] = (rec["a"], rec["b"])
+    return LabeledMultigraph(vertices, edges)
 
 
 def from_json(text):
-    return from_json_dict(json.loads(text))
+    try:
+        data = json.loads(text)
+    except ValueError as err:
+        raise GraphError("invalid graph JSON: %s" % err) from None
+    return from_json_dict(data)
 
 
 _G6_HEADER = ">>graph6<<"

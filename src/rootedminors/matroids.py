@@ -35,19 +35,10 @@ def _rref(rows):
     return [basis[p] for p in sorted(basis)]
 
 
-def _xor_rank(vectors):
-    basis = {}
-    rk = 0
-    for v in vectors:
-        while v:
-            t = v.bit_length() - 1
-            if t in basis:
-                v ^= basis[t]
-            else:
-                basis[t] = v
-                rk += 1
-                break
-    return rk
+def _transpose(vectors, width):
+    """Bit j of the i-th result is bit i of vectors[j], for i < width."""
+    return [sum(((v >> i) & 1) << j for j, v in enumerate(vectors))
+            for i in range(width)]
 
 
 class BinaryMatroid:
@@ -71,14 +62,12 @@ class BinaryMatroid:
             else:
                 if len(row) != len(elements):
                     raise MatroidError("row width differs from element count")
+                if any(bit not in (0, 1) for bit in row):
+                    raise MatroidError("row entries must be 0 or 1")
                 masks.append(sum(bit << j for j, bit in enumerate(row)))
         reduced = _rref(masks)
-        columns = {}
-        for pos, e in enumerate(elements):
-            columns[e] = sum(
-                ((r >> pos) & 1) << i for i, r in enumerate(reduced)
-            )
-        return cls(elements, columns, len(reduced))
+        columns = _transpose(reduced, len(elements))
+        return cls(elements, zip(elements, columns), len(reduced))
 
     @property
     def size(self):
@@ -91,7 +80,7 @@ class BinaryMatroid:
             cols = [self.columns[e] for e in subset]
         except KeyError as err:
             raise MatroidError("unknown element %r" % (err.args[0],)) from None
-        return _xor_rank(cols)
+        return len(_rref(cols))
 
     def is_independent(self, subset):
         subset = tuple(subset)
@@ -99,12 +88,8 @@ class BinaryMatroid:
 
     def rows(self):
         """The matrix as row bitmasks (bit j = j-th element), reduced."""
-        raw = [
-            sum(((self.columns[e] >> i) & 1) << j
-                for j, e in enumerate(self.elements))
-            for i in range(self.rank_value)
-        ]
-        return _rref(raw)
+        cols = [self.columns[e] for e in self.elements]
+        return _rref(_transpose(cols, self.rank_value))
 
     def to_json_dict(self):
         rows = self.rows()
@@ -120,13 +105,7 @@ class BinaryMatroid:
             raise MatroidError("unknown element %r" % (e,))
 
     def delete(self, e):
-        self._require(e)
-        elements = tuple(x for x in self.elements if x != e)
-        rows = [
-            [(self.columns[x] >> i) & 1 for x in elements]
-            for i in range(self.rank_value)
-        ]
-        return BinaryMatroid.from_rows(rows, elements)
+        return self.delete_many((e,))
 
     def contract(self, e):
         self._require(e)
@@ -147,10 +126,14 @@ class BinaryMatroid:
         return BinaryMatroid(elements, columns, self.rank_value - 1)
 
     def delete_many(self, es):
-        m = self
-        for e in sorted(es):
-            m = m.delete(e)
-        return m
+        """Delete every element of `es` at once, with one reduction."""
+        es = set(es)
+        for e in es:
+            self._require(e)
+        elements = tuple(x for x in self.elements if x not in es)
+        cols = [self.columns[x] for x in elements]
+        return BinaryMatroid.from_rows(_transpose(cols, self.rank_value),
+                                       elements)
 
     def contract_many(self, es):
         m = self
@@ -161,34 +144,16 @@ class BinaryMatroid:
     def dual(self):
         """Standard-form complement: [I | D] becomes [D-transpose | I]."""
         rows = self.rows()
-        columns = {}
-        for pos, e in enumerate(self.elements):
-            columns[e] = sum(((r >> pos) & 1) << i for i, r in enumerate(rows))
-        basis = []
-        nonbasis = []
-        seen = {}
-        for e in self.elements:
-            c = columns[e]
-            v = c
-            while v:
-                t = v.bit_length() - 1
-                if t in seen:
-                    v ^= seen[t]
-                else:
-                    seen[t] = v
-                    break
-            (basis if v else nonbasis).append(e)
-        # in rref the greedy basis columns are exactly the identity vectors,
-        # row k matching the k-th basis element
-        order = {e: k for k, e in enumerate(basis)}
-        dual_cols = {}
-        for q, e in enumerate(nonbasis):
-            dual_cols[e] = 1 << q
-        for e in basis:
-            k = order[e]
-            dual_cols[e] = sum(
-                (((columns[f] >> k) & 1) << q) for q, f in enumerate(nonbasis)
-            )
+        # row k of the reduced matrix is the unit vector of its pivot, the
+        # k-th basis element; every other element is outside the basis
+        pivots = [(r & -r).bit_length() - 1 for r in rows]
+        basis = [self.elements[p] for p in pivots]
+        nonbasis = [pos for pos in range(self.size) if pos not in pivots]
+        dual_cols = {self.elements[pos]: 1 << q
+                     for q, pos in enumerate(nonbasis)}
+        for e, r in zip(basis, rows):
+            dual_cols[e] = sum(((r >> pos) & 1) << q
+                               for q, pos in enumerate(nonbasis))
         return BinaryMatroid(self.elements, dual_cols, len(nonbasis))
 
     def parallel_classes(self):
@@ -217,28 +182,41 @@ class BinaryMatroid:
         n = self.size
         cols = [self.columns[e] for e in self.elements]
         ranks = [0] * (1 << n)
-        # basis per mask would be heavy; recompute, n <= 12 keeps this cheap
         for mask in range(1, 1 << n):
-            ranks[mask] = _xor_rank(
+            ranks[mask] = len(_rref(
                 [cols[j] for j in range(n) if (mask >> j) & 1]
-            )
+            ))
         return ranks
 
     def circuits(self):
-        """All circuits as frozensets of labels, smallest first."""
-        n = self.size
-        ranks = self.all_ranks()
-        out = []
-        for mask in range(1, 1 << n):
-            k = mask.bit_count()
-            if ranks[mask] >= k:
-                continue
-            if any(ranks[mask ^ (1 << j)] < k - 1
-                   for j in range(n) if (mask >> j) & 1):
-                continue
-            out.append(frozenset(
-                self.elements[j] for j in range(n) if (mask >> j) & 1
-            ))
+        """All circuits as frozensets of labels, smallest first.
+
+        The cycles (element sets whose columns sum to zero) are the GF(2)
+        span of the fundamental circuits of the reduced rows; the circuits
+        are the minimal non-empty cycles.
+        """
+        rows = self.rows()
+        pivots = 0
+        for r in rows:
+            pivots |= r & -r
+        # fundamental circuit of a non-basis element: itself plus the
+        # pivots of the rows that contain it
+        fundamental = [
+            (1 << pos) | sum(r & -r for r in rows if (r >> pos) & 1)
+            for pos in range(self.size) if not (pivots >> pos) & 1
+        ]
+        cycles = [0] * (1 << len(fundamental))
+        for k in range(1, len(cycles)):
+            low = k & -k
+            cycles[k] = cycles[k ^ low] ^ fundamental[low.bit_length() - 1]
+        minimal = []
+        for c in sorted(cycles[1:], key=int.bit_count):
+            if not any(d & c == d for d in minimal):
+                minimal.append(c)
+        out = [
+            frozenset(e for j, e in enumerate(self.elements) if (c >> j) & 1)
+            for c in sorted(minimal)
+        ]
         return sorted(out, key=lambda c: (len(c), sorted(map(str, c))))
 
     def __repr__(self):
@@ -310,8 +288,7 @@ def matroid_isomorphic(m1, m2, pin=None):
         return None
     prof1 = _circuit_profiles(m1, c1)
     prof2 = _circuit_profiles(m2, c2)
-    hist1 = sorted(prof1.values())
-    if hist1 != sorted(prof2.values()):
+    if sorted(prof1.values()) != sorted(prof2.values()):
         return None
     pin = dict(pin or {})
     circuit_set2 = set(c2)
@@ -330,22 +307,13 @@ def matroid_isomorphic(m1, m2, pin=None):
         if i == len(order):
             return True
         e = order[i]
-        if e in pin:
-            choices = [pin[e]]
-        else:
-            choices = [f for f in m2.elements
-                       if f not in used and prof2[f] == prof1[e]]
-        for f in choices:
+        for f in [pin[e]] if e in pin else m2.elements:
             if f in used or prof2[f] != prof1[e]:
                 continue
             mapping[e] = f
             used.add(f)
-            ok = True
-            for c in by_elem1[e]:
-                if all(x in mapping for x in c):
-                    if frozenset(mapping[x] for x in c) not in circuit_set2:
-                        ok = False
-                        break
+            ok = all(frozenset(mapping[x] for x in c) in circuit_set2
+                     for c in by_elem1[e] if all(x in mapping for x in c))
             if ok and extend(i + 1):
                 return True
             del mapping[e]
@@ -374,21 +342,13 @@ def matroid_has_minor(m, target, required=()):
     if c_need < 0 or d_need < 0:
         return None
     free = [e for e in m.elements if e not in required]
-    tgt_sizes = sorted(len(c) for c in target.circuits())
     for cset in combinations(free, c_need):
         if not m.is_independent(cset):
             continue
         after = m.contract_many(cset)
         rest = [e for e in after.elements if e not in required]
         for dset in combinations(rest, d_need):
-            cand = after.delete_many(dset)
-            if cand.rank_value != target.rank_value:
-                continue
-            if target.is_simple() and not cand.is_simple():
-                continue
-            if sorted(len(c) for c in cand.circuits()) != tgt_sizes:
-                continue
-            if matroid_isomorphic(cand, target) is not None:
+            if matroid_isomorphic(after.delete_many(dset), target) is not None:
                 return frozenset(cset), frozenset(dset)
     return None
 

@@ -7,7 +7,6 @@ graphs; instances are never mutated after construction.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -265,10 +264,6 @@ class LabeledMultigraph:
             return NotImplemented
         return self._vertices == other._vertices and self._edges == other._edges
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     def __hash__(self):
         return hash((self._vertices, tuple(sorted(self._edges.items()))))
 
@@ -334,58 +329,27 @@ def is_connected(g):
     return _connected_after_removal(g.adjacency(), g.sorted_vertices(), ())
 
 
-def _local_connectivity(adj, order, s, t):
-    """Max number of internally vertex-disjoint s-t paths (s,t non-adjacent).
-
-    Unit-capacity max flow on the vertex-split digraph, BFS augmentation.
-    """
-    # nodes: (v, 0)=in, (v, 1)=out; arc (v,0)->(v,1) capacity 1 except s,t
-    cap = {}
-    for v in order:
-        cap[((v, 0), (v, 1))] = 1 if v not in (s, t) else len(order)
-    for v in order:
-        for u in adj[v]:
-            cap[((v, 1), (u, 0))] = len(order)
-    flow = 0
-    while True:
-        prev = {(s, 0): None}
-        queue = deque([(s, 0)])
-        while queue and (t, 1) not in prev:
-            node = queue.popleft()
-            for (a, b), c in cap.items():
-                if a == node and c > 0 and b not in prev:
-                    prev[b] = a
-                    queue.append(b)
-        if (t, 1) not in prev:
-            return flow
-        node = (t, 1)
-        while prev[node] is not None:
-            p = prev[node]
-            cap[(p, node)] -= 1
-            cap[(node, p)] = cap.get((node, p), 0) + 1
-            node = p
-        flow += 1
-
-
 def vertex_connectivity(g):
     """Minimum vertex-cut size; K_n yields n-1, disconnected graphs 0.
 
+    The smallest k for which removing some k vertices disconnects the rest.
     The graph is simplified first, so loops and parallel edges are ignored.
     """
     sg, _ = g.simplify()
-    n = sg.n
-    if n <= 1:
-        return 0
     adj = sg.adjacency()
     order = sg.sorted_vertices()
-    nonadjacent = [
-        (s, t) for s, t in combinations(order, 2) if t not in adj[s]
-    ]
-    if not nonadjacent:
-        return n - 1
-    if not _connected_after_removal(adj, order, ()):
-        return 0
-    return min(_local_connectivity(adj, order, s, t) for s, t in nonadjacent)
+    for k in range(sg.n - 1):
+        if _has_cut(adj, order, k):
+            return k
+    return max(sg.n - 1, 0)
+
+
+def _has_cut(adj, order, k):
+    """True iff removing some k of the vertices disconnects the rest."""
+    for cut in combinations(order, k):
+        if not _connected_after_removal(adj, order, set(cut)):
+            return True
+    return False
 
 
 def _connected_after_removal(adj, vertices, removed):
@@ -393,21 +357,19 @@ def _connected_after_removal(adj, vertices, removed):
     if not remaining:
         return False
     comp = {remaining[0]}
-    queue = deque([remaining[0]])
-    while queue:
-        v = queue.popleft()
-        for u in adj[v]:
+    stack = [remaining[0]]
+    while stack:
+        for u in adj[stack.pop()]:
             if u not in removed and u not in comp:
                 comp.add(u)
-                queue.append(u)
+                stack.append(u)
     return len(comp) == len(remaining)
 
 
 def is_three_connected(g):
     """True iff the simplification is 3-connected and has at least 4 vertices.
 
-    Checked by direct enumeration of cut sets of size 0, 1 and 2, which is
-    much cheaper than a full connectivity computation at this scale.
+    Checked by direct enumeration of cut sets of size 0, 1 and 2.
     """
     sg, _ = g.simplify()
     if sg.n < 4:
@@ -416,12 +378,4 @@ def is_three_connected(g):
     order = sg.sorted_vertices()
     if any(len(adj[v]) < 3 for v in order):
         return False
-    if not _connected_after_removal(adj, order, frozenset()):
-        return False
-    for v in order:
-        if not _connected_after_removal(adj, order, {v}):
-            return False
-    for u, v in combinations(order, 2):
-        if not _connected_after_removal(adj, order, {u, v}):
-            return False
-    return True
+    return not any(_has_cut(adj, order, k) for k in range(3))

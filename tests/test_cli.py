@@ -105,8 +105,8 @@ def test_planarity_check(tmp_path, capsys):
 
 def test_rounded_verify_family_a(tmp_path, capsys):
     report = tmp_path / "report.json"
-    code, out = _run(capsys, "--json", "rounded", "verify", "--family", "a",
-                     "--report", str(report))
+    code, out = _run(capsys, "--json", "--output", str(report), "rounded",
+                     "verify", "--family", "a")
     assert code == PASS
     assert json.loads(out)["verdict"] == "pass"
     assert json.loads(report.read_text())["verdict"] == "pass"
@@ -169,3 +169,94 @@ def test_output_path_mirrors_json(tmp_path, capsys):
     code, _ = _run(capsys, "--output", str(out_path), "catalog", "dump", "K5")
     assert code == PASS
     assert len(json.loads(out_path.read_text())["edges"]) == 10
+
+
+def test_rounded_report_flag_is_gone():
+    with pytest.raises(SystemExit) as exc:
+        dispatch(["rounded", "verify", "--family", "a", "--report", "r.json"])
+    assert exc.value.code == 2
+
+
+def _usage_error(capsys, argv):
+    code = dispatch(argv)
+    err = capsys.readouterr().err
+    assert code == USAGE
+    assert "Traceback" not in err and err.strip()
+    return err
+
+
+def test_config_node_cap_must_be_an_integer(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"search-node-cap": "abc"}))
+    err = _usage_error(capsys, ["--config", str(cfg), "catalog", "list"])
+    assert "search-node-cap" in err
+
+
+def test_config_must_be_an_object(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps([{"seed": 1}]))
+    _usage_error(capsys, ["--config", str(cfg), "catalog", "list"])
+
+
+def test_graph_edge_record_without_endpoint(tmp_path, capsys):
+    host = tmp_path / "host.json"
+    host.write_text(json.dumps({"vertices": [0, 1],
+                                "edges": [{"id": 1, "a": 0}]}))
+    _usage_error(capsys, ["minor", "find", "--host", str(host),
+                          "--pattern", "K5"])
+
+
+def test_graph_file_with_invalid_json(tmp_path, capsys):
+    host = tmp_path / "host.json"
+    host.write_text('{"vertices": [0, 1], "edges": [')
+    _usage_error(capsys, ["minor", "find", "--host", str(host),
+                          "--pattern", "K5"])
+
+
+def test_matroid_file_without_elements(tmp_path, capsys):
+    mfile = tmp_path / "m.json"
+    mfile.write_text(json.dumps({"rows": [[1, 0, 1]]}))
+    err = _usage_error(capsys, ["matroid", "minor", "--host", str(mfile),
+                                "--target", "K33"])
+    assert "elements" in err
+
+
+def test_certificate_without_iso(tmp_path, capsys):
+    host = tmp_path / "host.json"
+    host.write_text(io.to_json(catalog.build("K5").graph))
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps({"pattern": "K5", "contracted": [],
+                                "deleted": []}))
+    err = _usage_error(capsys, ["minor", "verify", str(cert),
+                                "--host", str(host)])
+    assert "iso" in err
+
+
+@pytest.mark.parametrize("text", ['["K33"', '[["K33"]]'],
+                         ids=["invalid-json", "entry-not-a-name"])
+def test_malformed_family_file(tmp_path, capsys, text):
+    fam = tmp_path / "family.json"
+    fam.write_text(text)
+    _usage_error(capsys, ["rounded", "verify", "--family", str(fam)])
+
+
+def test_required_loop_answers_no(tmp_path, capsys):
+    host = tmp_path / "host.json"
+    host.write_text(io.to_json(catalog.build("K5").graph.with_edge(11, 0, 0)))
+    code, out = _run(capsys, "--json", "minor", "find", "--host", str(host),
+                     "--pattern", "K5", "--require", "11")
+    assert code == FAIL
+    assert json.loads(out) == {"found": False}
+
+
+def test_required_parallel_pair_answers_no(tmp_path, capsys):
+    g = catalog.build("K5").graph
+    host = tmp_path / "host.json"
+    host.write_text(io.to_json(g.with_edge(11, *g.endpoints(1))))
+    code, out = _run(capsys, "--json", "minor", "find", "--host", str(host),
+                     "--pattern", "K5", "--require", "1,11")
+    assert code == FAIL
+    assert json.loads(out) == {"found": False}
+    code, _ = _run(capsys, "minor", "find", "--host", str(host),
+                   "--pattern", "K5", "--require", "1")
+    assert code == PASS

@@ -1,4 +1,5 @@
-"""Source hygiene: no dead module-level imports, no dangling exports."""
+"""Source hygiene: no dead module-level imports or private helpers, no
+dangling exports."""
 import ast
 from pathlib import Path
 
@@ -6,8 +7,8 @@ import pytest
 
 import rootedminors
 
-SOURCES = sorted(p for p in Path(rootedminors.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+ALL_SOURCES = sorted(Path(rootedminors.__file__).parent.glob("*.py"))
+SOURCES = [p for p in ALL_SOURCES if p.name != "__init__.py"]
 
 
 def _unused_imports(path):
@@ -29,6 +30,22 @@ def _unused_imports(path):
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_module_level_imports(path):
     assert _unused_imports(path) == []
+
+
+def _unreferenced_private_definitions(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    defined = {node.name: node.lineno for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name.startswith("_")
+               and not node.name.startswith("__")}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in defined.items()
+                  if name not in used)
+
+
+@pytest.mark.parametrize("path", ALL_SOURCES, ids=lambda p: p.name)
+def test_private_definitions_are_used_in_their_module(path):
+    assert _unreferenced_private_definitions(path) == []
 
 
 def test_every_exported_name_resolves():

@@ -21,6 +21,26 @@ def test_json_output_is_deterministic():
     assert [rec["id"] for rec in data["edges"]] == sorted(g.edges)
 
 
+@pytest.mark.parametrize("data", [
+    [{"id": 1, "a": 0, "b": 1}],
+    {"vertices": [0, 1], "edges": [{"id": 1, "a": 0}]},
+    {"vertices": [0, 1], "edges": [[1, 0, 1]]},
+    {"vertices": [0, 1], "edges": [{"id": "x", "a": 0, "b": 1}]},
+    {"vertices": [[0], 1], "edges": []},
+    {"vertices": [0, 1, 2], "edges": [{"id": 1, "a": 0, "b": 1},
+                                      {"id": 1, "a": 1, "b": 2}]},
+], ids=["not-an-object", "missing-b", "record-not-an-object", "string-id",
+        "list-vertex", "duplicate-id"])
+def test_json_rejects_malformed_graphs(data):
+    with pytest.raises(GraphError):
+        io.from_json(json.dumps(data))
+
+
+def test_json_rejects_invalid_json():
+    with pytest.raises(GraphError):
+        io.from_json('{"vertices": [0, 1], "edges": [')
+
+
 def test_graph6_k5():
     assert io.to_graph6(complete_graph(5)) == "D~{"
     g = io.from_graph6("D~{")

@@ -176,6 +176,8 @@ def test_from_rows_validates():
         BinaryMatroid.from_rows([[1, 0]], [1, 1])
     with pytest.raises(MatroidError):
         BinaryMatroid.from_rows([[1, 0, 1]], [1, 2])
+    with pytest.raises(MatroidError):
+        BinaryMatroid.from_rows([[2, 0]], [1, 2])
 
 
 def test_pivot_independence_of_contraction():
@@ -238,3 +240,70 @@ def test_r12_claims_callers_get_independent_copies():
     first["pair_coverage"]["covered"] = 0
     first.clear()
     assert verify_r12_claims()["pair_coverage"]["covered"] == 66
+
+
+def _brute_force_circuits(m):
+    """Minimal non-empty subsets whose columns XOR to zero."""
+    found = []
+    for k in range(1, m.size + 1):
+        for subset in combinations(m.elements, k):
+            acc = 0
+            for e in subset:
+                acc ^= m.columns[e]
+            if acc == 0 and not any(c <= set(subset) for c in found):
+                found.append(frozenset(subset))
+    return found
+
+
+def _random_binary_matroid(rng):
+    n = rng.randint(1, 10)
+    r = rng.randint(0, min(n, 5))
+    rows = [[rng.randint(0, 1) for _ in range(n)] for _ in range(r)]
+    if n >= 3 and rng.random() < 0.5:
+        # force a loop and a parallel pair
+        for row in rows:
+            row[0] = 0
+            row[2] = row[1]
+    return BinaryMatroid.from_rows(rows, range(1, n + 1))
+
+
+def _circuit_cases():
+    cases = []
+    for name in catalog.list_names():
+        m = cycle_matroid(catalog.build(name).graph)
+        cases += [(name, m), (name + "*", m.dual())]
+    cases += [("R10", r10()), ("R12", r12()), ("R12/1", r12().contract(1))]
+    rng = random.Random(11)
+    cases += [("random%d" % i, _random_binary_matroid(rng)) for i in range(50)]
+    return cases
+
+
+def test_circuits_match_brute_force():
+    cases = _circuit_cases()
+    assert any(m.rank_value == 0 for _, m in cases)
+    assert any(not m.is_simple() and m.rank_value > 0 for _, m in cases)
+    for name, m in cases:
+        circuits = m.circuits()
+        assert sorted(circuits, key=sorted) == sorted(
+            _brute_force_circuits(m), key=sorted), name
+        assert circuits == sorted(
+            circuits, key=lambda c: (len(c), sorted(map(str, c)))), name
+
+
+def test_minor_witnesses_are_unchanged():
+    """Witnesses recorded before the search lost its candidate pre-filters."""
+    expected = {
+        (1, 2): {"K33": ([5], [6, 9]), "K33_01": ([5], [9]),
+                 "K33_02": None, "K33_11": None},
+        (3, 8): {"K33": ([1], [2, 5]), "K33_01": ([1], [5]),
+                 "K33_02": None, "K33_11": None},
+    }
+    for pair, by_target in expected.items():
+        for name, want in by_target.items():
+            target = cycle_matroid(catalog.build(name).graph)
+            w = matroid_has_minor(r12(), target, required=pair)
+            got = None if w is None else (sorted(w[0]), sorted(w[1]))
+            assert got == want, (pair, name)
+    k33m = cycle_matroid(catalog.build("K33").graph)
+    assert matroid_has_minor(r10(), k33m, required=(1, 2)) == (
+        frozenset(), frozenset({3}))
