@@ -10,9 +10,8 @@ subdivision-with-triangle hosts, and FIG2_* two unlabeled data-only graphs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
-from .multigraph import GraphError, LabeledMultigraph
+from .multigraph import GraphError, LabeledMultigraph, complete_graph
 
 
 @dataclass(frozen=True)
@@ -57,13 +56,6 @@ def _k33_extension(i, j):
     role_edges += _I_SIDE[:i]
     role_edges += _J_SIDE[:j]
     return _from_role_edges(role_edges, labels), labels
-
-
-def _k5():
-    edges = {}
-    for eid, (a, b) in enumerate(combinations(range(5), 2), start=1):
-        edges[eid] = (a, b)
-    return LabeledMultigraph(range(5), edges), {}
 
 
 _G_LABELS = {"u1": 0, "u2": 1, "u3": 2, "v1": 3, "v3": 4, "w1": 5, "w2": 6}
@@ -132,8 +124,7 @@ def _build_all():
     }.items():
         g, labels = _k33_extension(i, j)
         out[name] = CatalogEntry(name, g, labels)
-    g, labels = _k5()
-    out["K5"] = CatalogEntry("K5", g, labels)
+    out["K5"] = CatalogEntry("K5", complete_graph(5), {})
     for name, role_edges in (
         ("G1", _G1_EDGES),
         ("G2", _G1_EDGES + [("v1", "w1")]),

@@ -131,11 +131,17 @@ def _cmd_minor(args, config):
                           keys=("contracted", "deleted", "pattern", "iso"))
         try:
             iso = {int(k): v for k, v in cert["iso"].items()}
-            model = minors.MinorModel(host, frozenset(cert["contracted"]),
-                                      frozenset(cert["deleted"]),
-                                      cert["pattern"], iso)
+            ids = [*iso.values(), *cert["contracted"], *cert["deleted"]]
         except (AttributeError, TypeError, ValueError):
-            raise GraphError("%s: malformed certificate" % args.certificate_in)
+            ids = None
+        if (ids is None or not all(isinstance(x, int) for x in ids)
+                or not isinstance(cert["pattern"], str)):
+            raise GraphError("%s: malformed certificate: pattern must be a "
+                             "name, and contracted, deleted and iso must "
+                             "hold integers" % args.certificate_in)
+        model = minors.MinorModel(host, frozenset(cert["contracted"]),
+                                  frozenset(cert["deleted"]),
+                                  cert["pattern"], iso)
         ok, diagnostics = minors.verify_model(model)
         _emit(args, config, {"valid": ok, "diagnostics": diagnostics},
               ["valid" if ok else "invalid"] + diagnostics)

@@ -1,10 +1,11 @@
 """Graph generation for exhaustive and randomized verification runs.
 
-Two independent exhaustive generators are provided so their counts can be
-cross-checked: edge-addition enumeration with isomorphism dedup, and a
-permutation-orbit count (plus, for 3-connected graphs, a wheel-based
-closure generator).  Random host generators are driven by a caller-owned
-random.Random so runs are reproducible from a seed.
+The exhaustive battery scans the 3-connected classes of a wheel-based
+closure generator.  Edge-addition enumeration with isomorphism dedup gives
+every simple graph; filtered by is_three_connected it cross-checks the
+closure at small n, and a permutation-orbit count cross-checks it in turn.
+Random host generators are driven by a caller-owned random.Random so runs
+are reproducible from a seed.
 """
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from math import factorial
 
+from . import catalog
 from .isomorphism import are_isomorphic
 from .multigraph import (LabeledMultigraph, is_three_connected,
                          three_connected_splits)
@@ -68,13 +70,6 @@ def all_graphs(n):
             break
         levels.append(out)
     return tuple(g for level in levels for g in level)
-
-
-@lru_cache(maxsize=None)
-def three_connected_graphs(n):
-    if n < 4:
-        return ()
-    return tuple(g for g in all_graphs(n) if is_three_connected(g))
 
 
 def count_graphs_orbit(n):
@@ -179,8 +174,6 @@ def random_nonplanar_host(rng, max_vertices=12):
     A random subdivision of K5 or K3,3 keeps a Kuratowski minor, then random
     edge additions restore 3-connectivity.
     """
-    from . import catalog
-
     while True:
         base = catalog.build(rng.choice(("K5", "K33"))).graph
         g = base

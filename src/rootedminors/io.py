@@ -114,8 +114,11 @@ def to_graph6(g):
 
 def load_graph(path):
     """Read a graph file; .g6/.graph6 is graph6, anything else JSON."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        raise GraphError("%s: not a UTF-8 text file" % path) from None
     name = str(path).lower()
     if name.endswith(".g6") or name.endswith(".graph6"):
         return from_graph6(text)

@@ -9,8 +9,11 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
+
+from . import catalog
+from .multigraph import LabeledMultigraph
 
 
 class MatroidError(ValueError):
@@ -191,10 +194,15 @@ class BinaryMatroid:
     def circuits(self):
         """All circuits as frozensets of labels, smallest first.
 
-        The cycles (element sets whose columns sum to zero) are the GF(2)
-        span of the fundamental circuits of the reduced rows; the circuits
-        are the minimal non-empty cycles.
+        Computed once per matroid; each call returns a fresh list.
         """
+        return list(self._circuits)
+
+    @cached_property
+    def _circuits(self):
+        """The cycles (element sets whose columns sum to zero) are the GF(2)
+        span of the fundamental circuits of the reduced rows; the circuits
+        are the minimal non-empty cycles."""
         rows = self.rows()
         pivots = 0
         for r in rows:
@@ -217,7 +225,7 @@ class BinaryMatroid:
             frozenset(e for j, e in enumerate(self.elements) if (c >> j) & 1)
             for c in sorted(minimal)
         ]
-        return sorted(out, key=lambda c: (len(c), sorted(map(str, c))))
+        return tuple(sorted(out, key=lambda c: (len(c), sorted(map(str, c)))))
 
     def __repr__(self):
         return "BinaryMatroid(rank=%d, elements=%r)" % (
@@ -386,8 +394,6 @@ def si_r12_contraction_graph():
     Vertices are named 2..7 after the z-rows of the contracted
     representation; edge labels are the surviving R12 elements.
     """
-    from .multigraph import LabeledMultigraph
-
     edges = {
         2: (2, 7), 3: (3, 7), 4: (4, 7), 5: (5, 6), 6: (6, 7),
         7: (2, 3), 8: (2, 4), 10: (2, 6), 11: (3, 5), 12: (4, 5),
@@ -396,8 +402,6 @@ def si_r12_contraction_graph():
 
 
 def _fc_targets():
-    from . import catalog
-
     return [
         (name, cycle_matroid(catalog.build(name).graph))
         for name in ("K33", "K33_01", "K33_02", "K33_11")
@@ -419,8 +423,6 @@ def verify_r12_claims():
 
 @lru_cache(maxsize=None)
 def _r12_claims():
-    from . import catalog
-
     m = r12()
     report = {}
 

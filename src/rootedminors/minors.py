@@ -17,8 +17,8 @@ from itertools import permutations
 import networkx as nx
 
 from . import catalog
-from .isomorphism import are_isomorphic
-from .multigraph import GraphError, LabeledMultigraph
+from .isomorphism import are_isomorphic, is_isomorphism
+from .multigraph import GraphError, LabeledMultigraph, is_three_connected
 
 DEFAULT_NODE_CAP = 10_000_000
 
@@ -98,31 +98,16 @@ def verify_model(model, pattern=None):
 
     Returns (ok, diagnostics); nothing in the model is trusted.
     """
-    diagnostics = []
     if pattern is None:
         pattern = catalog.build(model.pattern_name).graph
     try:
         result = apply_model(model.host, model.contracted, model.deleted)
     except GraphError as exc:
         return False, [str(exc)]
-    iso = model.iso
-    if set(iso) != set(result.vertices):
-        diagnostics.append("iso domain does not match the minor's vertices")
-    elif sorted(iso.values()) != pattern.sorted_vertices():
-        diagnostics.append("iso is not onto the pattern vertices")
-    else:
-        order = result.sorted_vertices()
-        for i, v in enumerate(order):
-            for u in order[i:]:
-                if result.multiplicity(v, u) != pattern.multiplicity(iso[v], iso[u]):
-                    diagnostics.append(
-                        "not isomorphic: multiplicity mismatch at (%r, %r)" % (v, u)
-                    )
-                    break
-            else:
-                continue
-            break
-    return not diagnostics, diagnostics
+    if not is_isomorphism(result, pattern, model.iso):
+        return False, ["iso is not an isomorphism from the minor onto the "
+                       "pattern"]
+    return True, []
 
 
 def _connected_subsets(adj, allowed, must, max_size, budget):
@@ -414,8 +399,6 @@ def k5_iff_k331(host, node_cap=DEFAULT_NODE_CAP):
     """Whether host has a K5-minor exactly when it has a K33_11-minor."""
     if not host.is_simple():
         raise GraphError("host must be simple")
-    from .multigraph import is_three_connected
-
     if not is_three_connected(host):
         raise GraphError("host must be 3-connected")
     if are_isomorphic(host, catalog.build("K5").graph) is not None:

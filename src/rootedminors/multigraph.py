@@ -8,7 +8,7 @@ graphs; instances are never mutated after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 
 class GraphError(ValueError):
@@ -156,34 +156,12 @@ class LabeledMultigraph:
             edges[eid] = (x, y)
         return LabeledMultigraph(self._vertices - {gone}, edges)
 
-    def contract_edges(self, es):
-        g = self
-        for e in sorted(es):
-            # ids are stable, so the order only affects merged vertex names
-            g = g.contract_edge(e)
-        return g
-
     def delete_edge(self, e):
         if e not in self._edges:
             raise GraphError("missing edge %r" % (e,))
         edges = dict(self._edges)
         del edges[e]
         return LabeledMultigraph(self._vertices, edges)
-
-    def delete_edges(self, es):
-        es = set(es)
-        for e in es:
-            if e not in self._edges:
-                raise GraphError("missing edge %r" % (e,))
-        return LabeledMultigraph(
-            self._vertices, {e: p for e, p in self._edges.items() if e not in es}
-        )
-
-    def delete_vertex(self, v):
-        if v not in self._vertices:
-            raise GraphError("missing vertex %r" % (v,))
-        edges = {e: (a, b) for e, (a, b) in self._edges.items() if v not in (a, b)}
-        return LabeledMultigraph(self._vertices - {v}, edges)
 
     def simplify(self, prefer=()):
         """Remove loops and all but one edge per parallel class.
@@ -247,14 +225,16 @@ class LabeledMultigraph:
         Parallel edges yield distinct triangles.  Output is deterministic:
         sorted id triples in sorted order.
         """
+        ids = {}
+        for e, pair in self._edges.items():
+            ids.setdefault(pair, []).append(e)
         adj = self.adjacency()
         out = []
-        for a, b, c in combinations(self.sorted_vertices(), 3):
-            if b in adj[a] and c in adj[a] and c in adj[b]:
-                for e1 in self.edges_between(a, b):
-                    for e2 in self.edges_between(b, c):
-                        for e3 in self.edges_between(a, c):
-                            out.append(tuple(sorted((e1, e2, e3))))
+        for a, b in ids:
+            for c in adj[a] & adj[b]:
+                if a < b < c:
+                    out.extend(tuple(sorted(t)) for t in product(
+                        ids[(a, b)], ids[(b, c)], ids[(a, c)]))
         return sorted(out)
 
     # -- comparison / repr ---------------------------------------------------

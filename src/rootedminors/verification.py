@@ -6,10 +6,16 @@ catalog contraction identities, 2-roundedness of the K3,3 extension
 families, the K5 / K33_11 minor equivalence, triangle-preserving minors,
 the R12 facts, planarity-obstruction agreement, and the search engine
 against a brute-force oracle.
+
+The two exhaustive scans (K5 / K33_11 equivalence and triangle
+preservation) run on the 3-connected classes of the wheel closure,
+generate.three_connected_by_wheels; the tests cross-check that generator
+against all_graphs filtered by is_three_connected at n <= 7.
 """
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from itertools import combinations
 
 import networkx as nx
@@ -76,9 +82,11 @@ def roundedness_families(node_cap=DEFAULT_NODE_CAP):
     }
 
 
+@lru_cache(maxsize=None)
 def _three_connected_upto(max_n):
-    for n in range(4, max_n + 1):
-        yield from generate.three_connected_graphs(n)
+    """The wheel closure's classes, built once per process and shared by
+    the K5 scan and the triangle scan."""
+    return tuple(generate.three_connected_by_wheels(max_n))
 
 
 def k5_equivalence_exhaustive(max_n=8, node_cap=DEFAULT_NODE_CAP):

@@ -260,3 +260,35 @@ def test_required_parallel_pair_answers_no(tmp_path, capsys):
     code, _ = _run(capsys, "minor", "find", "--host", str(host),
                    "--pattern", "K5", "--require", "1")
     assert code == PASS
+
+
+def test_host_file_that_is_not_utf8(tmp_path, capsys):
+    host = tmp_path / "bad.g6"
+    host.write_bytes(b"\xff\xfe")
+    err = _usage_error(capsys, ["minor", "find", "--host", str(host),
+                                "--pattern", "K5"])
+    assert "bad.g6" in err
+
+
+@pytest.mark.parametrize("text", ["D~", "D~{!"],
+                         ids=["truncated-body", "invalid-character"])
+def test_malformed_graph6_host(tmp_path, capsys, text):
+    host = tmp_path / "host.g6"
+    host.write_text(text)
+    _usage_error(capsys, ["minor", "find", "--host", str(host),
+                          "--pattern", "K5"])
+
+
+@pytest.mark.parametrize("change", [
+    {"iso": {"0": 0, "1": "1", "2": 2, "3": 3, "4": 4}},
+    {"pattern": ["K5"]},
+], ids=["iso-mixes-int-and-string", "pattern-is-a-list"])
+def test_certificate_with_malformed_field(tmp_path, capsys, change):
+    host = tmp_path / "host.json"
+    host.write_text(io.to_json(catalog.build("K5").graph))
+    cert = tmp_path / "cert.json"
+    data = {"pattern": "K5", "contracted": [], "deleted": [],
+            "iso": {str(v): v for v in range(5)}}
+    data.update(change)
+    cert.write_text(json.dumps(data))
+    _usage_error(capsys, ["minor", "verify", str(cert), "--host", str(host)])

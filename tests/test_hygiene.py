@@ -1,5 +1,5 @@
 """Source hygiene: no dead module-level imports or private helpers, no
-dangling exports."""
+imports inside functions, no dangling exports."""
 import ast
 from pathlib import Path
 
@@ -30,6 +30,19 @@ def _unused_imports(path):
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_module_level_imports(path):
     assert _unused_imports(path) == []
+
+
+def _imports_inside_functions(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return sorted({node.lineno for func in ast.walk(tree)
+                   if isinstance(func, ast.FunctionDef)
+                   for node in ast.walk(func)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))})
+
+
+@pytest.mark.parametrize("path", ALL_SOURCES, ids=lambda p: p.name)
+def test_no_imports_inside_functions(path):
+    assert _imports_inside_functions(path) == []
 
 
 def _unreferenced_private_definitions(path):

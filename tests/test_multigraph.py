@@ -1,10 +1,12 @@
 """Multigraph kernel: construction, minors, simplify, splits, connectivity."""
+import random
 from itertools import combinations
 
 import pytest
 
-from rootedminors import catalog
+from rootedminors import catalog, generate
 from rootedminors.isomorphism import are_isomorphic
+from rootedminors.minors import apply_model
 from rootedminors.multigraph import (
     GraphError,
     LabeledMultigraph,
@@ -67,13 +69,6 @@ def test_delete_added_edge_recovers_k33():
     assert are_isomorphic(h, catalog.build("K33").graph) is not None
 
 
-def test_delete_vertex():
-    g = LabeledMultigraph({0, 1, 2}, {1: (0, 1)})
-    h = g.delete_vertex(2)
-    assert h.n == 2 and h.m == 1
-    assert g.n == 3  # original untouched
-
-
 def test_simplify_keeps_smallest_id():
     g = LabeledMultigraph({0, 1, 2}, {3: (0, 1), 7: (0, 1), 2: (1, 2), 4: (2, 2)})
     sg, kept = g.simplify()
@@ -100,7 +95,7 @@ def test_simplify_is_idempotent_and_keeps_vertices():
 def test_minor_edge_ids_are_stable():
     g = complete_graph(5)
     ids = sorted(g.edges)
-    keep = g.contract_edges(ids[:2]).delete_edges(ids[2:4])
+    keep = apply_model(g, ids[:2], ids[2:4])
     assert set(keep.edges) == set(ids) - set(ids[:4])
 
 
@@ -162,6 +157,20 @@ def test_triangles_counts():
 def test_triangles_respect_parallel_edges():
     g = LabeledMultigraph({0, 1, 2}, {1: (0, 1), 2: (1, 2), 3: (0, 2), 4: (0, 1)})
     assert len(g.triangles()) == 2
+
+
+def test_triangles_match_brute_force():
+    rng = random.Random(5)
+    for _ in range(40):
+        g = generate.random_host(rng, max_edges=14)
+        brute = []
+        for tri in combinations(sorted(g.edges), 3):
+            pairs = [g.endpoints(e) for e in tri]
+            ends = [v for pair in pairs for v in pair]
+            if (all(a != b for a, b in pairs) and len(set(ends)) == 3
+                    and len(set(pairs)) == 3):
+                brute.append(tri)
+        assert g.triangles() == brute
 
 
 def test_vertex_connectivity_values():
