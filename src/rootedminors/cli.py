@@ -89,15 +89,18 @@ def _parse_ids(text):
         raise GraphError("expected comma-separated edge ids, got %r" % text)
 
 
-def _model_payload(model):
+def _certificate(model, pattern=None):
+    """The model as JSON; a pattern that is not a catalog name is written
+    as its graph, so that `minor verify` can rebuild it."""
     data = model.to_json_dict()
-    data["found"] = True
+    if pattern is not None:
+        data["pattern"] = io.to_json_dict(pattern)
     return data
 
 
-def _write_certificate(path, model):
+def _write_certificate(path, cert):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model.to_json_dict(), fh, sort_keys=True, indent=2)
+        json.dump(cert, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 
@@ -119,8 +122,9 @@ def _cmd_catalog(args, config):
 
 
 def _pattern_arg(text):
+    """(catalog name, None) for a catalog name, else ("", the file's graph)."""
     if text in catalog.list_names():
-        return text, catalog.build(text).graph
+        return text, None
     return "", io.load_graph(text)
 
 
@@ -135,23 +139,31 @@ def _cmd_minor(args, config):
         except (AttributeError, TypeError, ValueError):
             ids = None
         if (ids is None or not all(isinstance(x, int) for x in ids)
-                or not isinstance(cert["pattern"], str)):
+                or not isinstance(cert["pattern"], (str, dict))):
             raise GraphError("%s: malformed certificate: pattern must be a "
-                             "name, and contracted, deleted and iso must "
-                             "hold integers" % args.certificate_in)
+                             "name or a graph, and contracted, deleted and "
+                             "iso must hold integers" % args.certificate_in)
+        name, pattern = cert["pattern"], None
+        if isinstance(name, dict):
+            try:
+                name, pattern = "", io.from_json_dict(name)
+            except GraphError as err:
+                raise GraphError("%s: malformed certificate pattern: %s"
+                                 % (args.certificate_in, err)) from None
         model = minors.MinorModel(host, frozenset(cert["contracted"]),
-                                  frozenset(cert["deleted"]),
-                                  cert["pattern"], iso)
-        ok, diagnostics = minors.verify_model(model)
+                                  frozenset(cert["deleted"]), name, iso)
+        ok, diagnostics = minors.verify_model(model, pattern)
         _emit(args, config, {"valid": ok, "diagnostics": diagnostics},
               ["valid" if ok else "invalid"] + diagnostics)
         return PASS if ok else FAIL
 
     host = io.load_graph(args.host)
+    pattern = None
     if args.action == "find":
         name, pattern = _pattern_arg(args.pattern)
-        model = minors.find_minor(host, pattern, required=_parse_ids(args.require),
-                                  pattern_name=name, node_cap=config.node_cap)
+        model = minors.find_minor(host, name or pattern,
+                                  required=_parse_ids(args.require),
+                                  node_cap=config.node_cap)
     else:  # triangle
         tri = _parse_ids(args.triangle)
         if len(tri) != 3:
@@ -162,10 +174,11 @@ def _cmd_minor(args, config):
     if model is None:
         _emit(args, config, {"found": False}, ["no minor found"])
         return FAIL
+    cert = _certificate(model, pattern)
     if args.certificate:
-        _write_certificate(args.certificate, model)
-    _emit(args, config, _model_payload(model),
-          ["minor found: %s" % model.pattern_name,
+        _write_certificate(args.certificate, cert)
+    _emit(args, config, dict(cert, found=True),
+          ["minor found: %s" % (model.pattern_name or args.pattern),
            "contracted: %s" % sorted(model.contracted),
            "deleted: %s" % sorted(model.deleted)])
     return PASS
@@ -178,9 +191,10 @@ def _cmd_planarity(args, config):
         _emit(args, config, {"planar": True}, ["planar"])
         return PASS
     name, model = result
+    cert = _certificate(model)
     if args.certificate:
-        _write_certificate(args.certificate, model)
-    payload = {"planar": False, "obstruction": _model_payload(model)}
+        _write_certificate(args.certificate, cert)
+    payload = {"planar": False, "obstruction": dict(cert, found=True)}
     _emit(args, config, payload, ["non-planar: %s minor" % name])
     return PASS
 
@@ -197,8 +211,11 @@ def _cmd_rounded(args, config):
     lines = ["family: %s" % ", ".join(family),
              "candidates: %d" % len(report.candidates),
              "failures: %d" % len(report.failures),
+             "overruns: %d" % len(report.overruns),
              "verdict: %s" % report.verdict]
     _emit(args, config, payload, lines)
+    if report.verdict == "budget":
+        return INCONCLUSIVE
     return PASS if report.verdict == "pass" else FAIL
 
 

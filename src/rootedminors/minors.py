@@ -83,12 +83,8 @@ def apply_model(host, contracted, deleted):
     contracted, deleted = frozenset(contracted), frozenset(deleted)
     if contracted & deleted:
         raise GraphError("contracted and deleted sets overlap")
-    merge = forest_classes(host, contracted)
-    edges = {}
-    for e, (a, b) in host.edges.items():
-        if e in contracted or e in deleted:
-            continue
-        edges[e] = (merge[a], merge[b])
+    edges = host.relabeled_edges(forest_classes(host, contracted),
+                                 contracted | deleted)
     touched = {v for pair in edges.values() for v in pair}
     return LabeledMultigraph(touched, edges)
 

@@ -142,19 +142,15 @@ class LabeledMultigraph:
         a loop just removes it.
         """
         a, b = self.endpoints(e)
-        if a == b:
-            return self.delete_edge(e)
-        keep, gone = (a, b) if a < b else (b, a)
-        edges = {}
-        for eid, (x, y) in self._edges.items():
-            if eid == e:
-                continue
-            if x == gone:
-                x = keep
-            if y == gone:
-                y = keep
-            edges[eid] = (x, y)
-        return LabeledMultigraph(self._vertices - {gone}, edges)
+        merge = {max(a, b): min(a, b)}
+        return LabeledMultigraph({merge.get(v, v) for v in self._vertices},
+                                 self.relabeled_edges(merge, {e}))
+
+    def relabeled_edges(self, merge, drop=()):
+        """Edge id -> endpoints renamed by `merge`, for every edge not in
+        `drop`; a vertex that `merge` does not map keeps its name."""
+        return {e: (merge.get(a, a), merge.get(b, b))
+                for e, (a, b) in self._edges.items() if e not in drop}
 
     def delete_edge(self, e):
         if e not in self._edges:

@@ -14,7 +14,8 @@ from itertools import combinations
 from . import catalog
 from .io import to_json_dict
 from .isomorphism import are_isomorphic
-from .minors import DEFAULT_NODE_CAP, FAMILY_A, FAMILY_B, find_family_minor
+from .minors import (DEFAULT_NODE_CAP, FAMILY_A, FAMILY_B,
+                     SearchBudgetExceeded, find_family_minor)
 from .multigraph import (VertexSplit, is_three_connected,
                          three_connected_splits)
 
@@ -50,12 +51,15 @@ class RoundednessReport:
     family: tuple
     candidates: list
     failures: list  # (candidate index, e, f)
+    overruns: list  # (candidate index, e, f) whose search hit the node cap
     note: str = ("candidates restricted to simple 3-connected graphs; "
                  "others are outside the 2-rounded criterion's scope")
 
     @property
     def verdict(self):
-        return "pass" if not self.failures else "fail"
+        if self.failures:
+            return "fail"
+        return "budget" if self.overruns else "pass"
 
     def to_json_dict(self):
         return {
@@ -64,6 +68,9 @@ class RoundednessReport:
             "candidates": [c.to_json_dict() for c in self.candidates],
             "failures": [
                 {"candidate": i, "e": e, "f": f} for i, e, f in self.failures
+            ],
+            "overruns": [
+                {"candidate": i, "e": e, "f": f} for i, e, f in self.overruns
             ],
             "verdict": self.verdict,
         }
@@ -119,23 +126,28 @@ def enumerate_coextensions(entry):
 
 
 def verify_two_rounded(family, node_cap=DEFAULT_NODE_CAP):
-    """Check the 2-rounded criterion for a family of catalog names."""
+    """Check the 2-rounded criterion for a family of catalog names; a query
+    that hits the node cap is an overrun, and the others are still decided."""
     family = tuple(family)
     candidates = []
     for name in family:
         candidates.extend(enumerate_extensions(name))
         candidates.extend(enumerate_coextensions(name))
-    failures = []
+    failures, overruns = [], []
     for i, cand in enumerate(candidates):
         e = cand.element
         for f in sorted(cand.graph.edges):
             if f == e:
                 continue
-            hit = find_family_minor(cand.graph, family, required={e, f},
-                                    node_cap=node_cap)
+            try:
+                hit = find_family_minor(cand.graph, family, required={e, f},
+                                        node_cap=node_cap)
+            except SearchBudgetExceeded:
+                overruns.append((i, e, f))
+                continue
             if hit is None:
                 failures.append((i, e, f))
-    return RoundednessReport(family, candidates, failures)
+    return RoundednessReport(family, candidates, failures, overruns)
 
 
 NAMED_FAMILIES = {"a": FAMILY_A, "b": FAMILY_B}

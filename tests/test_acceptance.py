@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from rootedminors import catalog, io, verification
+from rootedminors import catalog, io, minors, verification
 from rootedminors.isomorphism import are_isomorphic
 from rootedminors.minors import (
     find_minor,
@@ -45,15 +45,44 @@ def test_extension_families_are_two_rounded():
         assert report["families"][label]["candidates"] > 0
 
 
-def test_k5_equivalence_exhaustive_on_small_graphs():
-    report = verification.k5_equivalence_exhaustive(max_n=8)
-    assert report["checked"] == 2544
-    assert report["pass"], report["failures"][:10]
+@pytest.fixture(scope="module")
+def scan():
+    """Both exhaustive reports at n <= 8, from one pass over the hosts."""
+    return verification.exhaustive_scan(max_n=8)
 
 
 @pytest.fixture(scope="module")
-def triangle_report():
-    return verification.triangle_preservation_exhaustive(max_n=8)
+def triangle_report(scan):
+    return scan["triangle_preservation_exhaustive"]
+
+
+def test_k5_equivalence_exhaustive_on_small_graphs(scan):
+    report = scan["k5_equivalence_exhaustive"]
+    assert report["checked"] == 2544
+    assert report["pass"], report["failures"][:10]
+    assert report["rejected_models"] == []
+
+
+def test_exhaustive_scan_asks_each_unpinned_question_once(monkeypatch):
+    asked = []
+    search = minors.find_minor
+
+    def spy(host, pattern, required=(), **kwargs):
+        if not required:
+            asked.append((io.to_graph6(host), pattern))
+        return search(host, pattern, required=required, **kwargs)
+
+    monkeypatch.setattr(minors, "find_minor", spy)
+    scan = verification.exhaustive_scan(max_n=7)
+    k5 = scan["k5_equivalence_exhaustive"]
+    tri = scan["triangle_preservation_exhaustive"]
+    assert (k5["checked"], k5["failures"], k5["rejected_models"]) == (
+        156, [], [])
+    assert (tri["hosts"], tri["triangles"]) == (92, 1142)
+    assert len(tri["failures_k331"]) == 5
+    assert tri["failures_k5"] == [] and tri["rejected_models"] == []
+    assert len(asked) == len(set(asked)), "an unpinned question asked twice"
+    assert not any(minors.is_planar(io.from_graph6(g6)) for g6, _ in asked)
 
 
 @pytest.fixture(scope="module")

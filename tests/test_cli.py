@@ -67,6 +67,24 @@ def test_minor_find_with_certificate_round_trip(tmp_path, capsys):
     assert json.loads(out)["valid"] is True
 
 
+def test_certificate_for_a_pattern_file_round_trip(tmp_path, capsys):
+    host = tmp_path / "host.json"
+    host.write_text(io.to_json(catalog.build("K33_11").graph))
+    pattern = tmp_path / "k5.json"
+    pattern.write_text(io.to_json(catalog.build("K5").graph))
+    cert = tmp_path / "cert.json"
+    code, out = _run(capsys, "minor", "find", "--host", str(host),
+                     "--pattern", str(pattern), "--certificate", str(cert))
+    assert code == PASS
+    assert out.splitlines()[0] == "minor found: %s" % pattern
+    assert json.loads(cert.read_text())["pattern"] == io.to_json_dict(
+        catalog.build("K5").graph)
+    code, out = _run(capsys, "minor", "verify", str(cert), "--host",
+                     str(host))
+    assert code == PASS
+    assert out.splitlines() == ["valid"]
+
+
 def test_minor_verify_rejects_corrupt_certificate(tmp_path, capsys):
     host = tmp_path / "host.json"
     host.write_text(io.to_json(catalog.build("K33_11").graph))
@@ -110,6 +128,16 @@ def test_rounded_verify_family_a(tmp_path, capsys):
     assert code == PASS
     assert json.loads(out)["verdict"] == "pass"
     assert json.loads(report.read_text())["verdict"] == "pass"
+
+
+def test_rounded_budget_overrun_keeps_the_report(capsys):
+    code, out = _run(capsys, "--json", "--node-cap", "50", "rounded",
+                     "verify", "--family", "a")
+    assert code == INCONCLUSIVE
+    data = json.loads(out)
+    assert data["verdict"] == "budget"
+    assert data["candidates"] and data["overruns"]
+    assert data["failures"] == []
 
 
 def test_rounded_verify_custom_family_fails(tmp_path, capsys):
@@ -282,7 +310,9 @@ def test_malformed_graph6_host(tmp_path, capsys, text):
 @pytest.mark.parametrize("change", [
     {"iso": {"0": 0, "1": "1", "2": 2, "3": 3, "4": 4}},
     {"pattern": ["K5"]},
-], ids=["iso-mixes-int-and-string", "pattern-is-a-list"])
+    {"pattern": {"vertices": [0, 1], "edges": [{"id": 1, "a": 0}]}},
+], ids=["iso-mixes-int-and-string", "pattern-is-a-list",
+        "pattern-graph-with-bad-edge-record"])
 def test_certificate_with_malformed_field(tmp_path, capsys, change):
     host = tmp_path / "host.json"
     host.write_text(io.to_json(catalog.build("K5").graph))

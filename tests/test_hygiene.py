@@ -1,6 +1,8 @@
 """Source hygiene: no dead module-level imports or private helpers, no
-imports inside functions, no dangling exports."""
+imports inside functions, no dangling exports, and every name the
+benchmark's tracer wraps still in place."""
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -65,3 +67,23 @@ def test_every_exported_name_resolves():
     missing = [name for name in rootedminors.__all__
                if not hasattr(rootedminors, name)]
     assert missing == []
+
+
+def _traced_boundaries():
+    """bench/spans.py's BOUNDARIES, read without importing the tracer."""
+    path = Path(__file__).parents[1] / "bench" / "spans.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "BOUNDARIES" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/spans.py defines no BOUNDARIES")
+
+
+@pytest.mark.parametrize("module, attr, owner", _traced_boundaries(),
+                         ids=lambda x: x)
+def test_traced_name_resolves_to_its_owner(module, attr, owner):
+    mod = importlib.import_module("rootedminors." + module)
+    own = importlib.import_module("rootedminors." + owner)
+    assert hasattr(mod, attr), "rootedminors.%s.%s is gone" % (module, attr)
+    assert getattr(mod, attr) is getattr(own, attr)
