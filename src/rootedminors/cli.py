@@ -60,24 +60,18 @@ def _load_config(args):
                 raise ValueError("config key %r must be %s, got %r"
                                  % (k, kind.__name__, v))
             values[field] = v
-    if args.node_cap is not None:
-        values["node_cap"] = args.node_cap
-    if args.seed is not None:
-        values["seed"] = args.seed
-    if args.output is not None:
-        values["output"] = args.output
+    for field in ("node_cap", "seed", "output"):
+        if getattr(args, field) is not None:
+            values[field] = getattr(args, field)
     return RunConfig(**values)
 
 
 def _emit(args, config, payload, text_lines):
-    if args.json:
-        out = json.dumps(payload, sort_keys=True, indent=2)
-    else:
-        out = "\n".join(text_lines)
-    print(out)
+    text = json.dumps(payload, sort_keys=True, indent=2)
+    print(text if args.json else "\n".join(text_lines))
     if config.output:
         with open(config.output, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+            fh.write(text + "\n")
 
 
 def _parse_ids(text):
@@ -261,11 +255,14 @@ def _cmd_matroid(args, config):
 def _cmd_verify_all(args, config):
     report = verification.verify_all(seed=config.seed,
                                      node_cap=config.node_cap)
-    lines = ["%s: %s" % (k, "pass" if v["pass"] else "fail")
-             for k, v in report.items() if k != "pass"]
+    outcomes = {k: "pass" if v["pass"] else v.get("outcome", "fail")
+                for k, v in report.items() if k != "pass"}
+    lines = ["%s: %s" % item for item in outcomes.items()]
     lines.append("overall: %s" % ("pass" if report["pass"] else "fail"))
     _emit(args, config, report, lines)
-    return PASS if report["pass"] else FAIL
+    if "fail" in outcomes.values():
+        return FAIL
+    return INCONCLUSIVE if "budget" in outcomes.values() else PASS
 
 
 def build_parser():

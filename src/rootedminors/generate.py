@@ -15,13 +15,8 @@ from math import factorial
 
 from . import catalog
 from .isomorphism import are_isomorphic
-from .multigraph import (LabeledMultigraph, is_three_connected,
-                         three_connected_splits)
-
-
-def _from_pairs(n, pairs):
-    edges = {eid: pair for eid, pair in enumerate(sorted(pairs), start=1)}
-    return LabeledMultigraph(range(n), edges)
+from .multigraph import (LabeledMultigraph, edge_additions,
+                         is_three_connected, three_connected_splits)
 
 
 def _invariant_key(g):
@@ -43,33 +38,37 @@ def _add_new(buckets, g):
     return True
 
 
+def _closure(seeds, grow):
+    """One representative per isomorphism class reachable from `seeds`,
+    where grow(g) lists the graphs one step from g; classes come in the
+    order they are first met, the frontier is a stack."""
+    buckets = {}
+    classes = [g for g in seeds if _add_new(buckets, g)]
+    frontier = list(classes)
+    while frontier:
+        for h in grow(frontier.pop()):
+            if _add_new(buckets, h):
+                classes.append(h)
+                frontier.append(h)
+    return classes
+
+
+def _edge_additions(g):
+    return [h for h, _, _ in edge_additions(g)]
+
+
 @lru_cache(maxsize=None)
 def all_graphs(n):
-    """All simple graphs on n vertices, one representative per isomorphism class.
+    """All simple graphs on n vertices, one representative per isomorphism
+    class, ordered by edge count.
 
     The result is cached and shared; treat it as read-only.
 
-    Level-wise edge addition: every class with m edges is some class with
-    m-1 edges plus one edge, so extending every representative by every
-    non-edge and deduplicating is exhaustive.
+    Every class with m edges is some class with m-1 edges plus one edge, so
+    closing the edgeless graph under edge addition is exhaustive.
     """
-    levels = [[_from_pairs(n, [])]]
-    all_pairs = list(combinations(range(n), 2))
-    for m in range(1, len(all_pairs) + 1):
-        buckets = {}
-        out = []
-        for g in levels[m - 1]:
-            present = set(g.edges.values())
-            for pair in all_pairs:
-                if pair in present:
-                    continue
-                h = _from_pairs(n, sorted(present) + [pair])
-                if _add_new(buckets, h):
-                    out.append(h)
-        if not out:
-            break
-        levels.append(out)
-    return tuple(g for level in levels for g in level)
+    return tuple(sorted(_closure([LabeledMultigraph(range(n))],
+                                 _edge_additions), key=lambda g: g.m))
 
 
 def count_graphs_orbit(n):
@@ -132,40 +131,26 @@ def wheel(spokes):
     if spokes < 3:
         raise ValueError("a wheel needs at least 3 rim vertices")
     pairs = [(0, i) for i in range(1, spokes + 1)]
-    pairs += [(i, i + 1) for i in range(1, spokes)]
-    pairs.append((1, spokes))
-    return _from_pairs(spokes + 1, pairs)
+    pairs += [(i, i + 1) for i in range(1, spokes)] + [(1, spokes)]
+    return LabeledMultigraph(range(spokes + 1),
+                             dict(enumerate(sorted(pairs), start=1)))
 
 
 def three_connected_by_wheels(max_n):
     """All 3-connected simple graphs on <= max_n vertices via wheel closure.
 
     Every 3-connected simple graph arises from a wheel by edge additions
-    and vertex splits, so closing the wheels under both operations is an
-    exhaustive generator independent of all_graphs.
+    and vertex splits, so closing the wheels under both operations is
+    exhaustive.  The tests match it against all_graphs filtered by
+    is_three_connected at n <= 7.
     """
-    classes = []
-    buckets = {}
-    frontier = []
-    for spokes in range(3, max_n):
-        w = wheel(spokes)
-        if _add_new(buckets, w):
-            classes.append(w)
-            frontier.append(w)
-    while frontier:
-        g = frontier.pop()
-        fresh = []
-        present = set(g.edges.values())
-        for pair in combinations(g.sorted_vertices(), 2):
-            if pair not in present:
-                fresh.append(g.with_edge(g.fresh_edge_id(), *pair))
+    def grow(g):
+        out = _edge_additions(g)
         if g.n < max_n:
-            fresh.extend(h for h, _ in three_connected_splits(g))
-        for h in fresh:
-            if _add_new(buckets, h):
-                classes.append(h)
-                frontier.append(h)
-    return classes
+            out.extend(h for h, _ in three_connected_splits(g))
+        return out
+
+    return _closure([wheel(spokes) for spokes in range(3, max_n)], grow)
 
 
 def random_nonplanar_host(rng, max_vertices=12):

@@ -85,10 +85,6 @@ class BinaryMatroid:
             raise MatroidError("unknown element %r" % (err.args[0],)) from None
         return len(_rref(cols))
 
-    def is_independent(self, subset):
-        subset = tuple(subset)
-        return self.rank(subset) == len(subset)
-
     def rows(self):
         """The matrix as row bitmasks (bit j = j-th element), reduced."""
         cols = [self.columns[e] for e in self.elements]
@@ -111,22 +107,7 @@ class BinaryMatroid:
         return self.delete_many((e,))
 
     def contract(self, e):
-        self._require(e)
-        col = self.columns[e]
-        if col == 0:
-            return self.delete(e)
-        t = col.bit_length() - 1
-        low = (1 << t) - 1
-        columns = {}
-        for x in self.elements:
-            if x == e:
-                continue
-            c = self.columns[x]
-            if (c >> t) & 1:
-                c ^= col
-            columns[x] = (c & low) | ((c >> (t + 1)) << t)
-        elements = tuple(x for x in self.elements if x != e)
-        return BinaryMatroid(elements, columns, self.rank_value - 1)
+        return self.contract_many((e,))
 
     def delete_many(self, es):
         """Delete every element of `es` at once, with one reduction."""
@@ -139,10 +120,20 @@ class BinaryMatroid:
                                        elements)
 
     def contract_many(self, es):
-        m = self
-        for e in sorted(es):
-            m = m.contract(e)
-        return m
+        """Contract every element of `es` at once, with one reduction: with
+        their columns first, the reduced rows that vanish on them span the
+        contraction's row space once restricted to the other elements."""
+        es = set(es)
+        for e in es:
+            self._require(e)
+        first = [x for x in self.elements if x in es]
+        elements = tuple(x for x in self.elements if x not in es)
+        k = len(first)
+        cols = [self.columns[x] for x in first + list(elements)]
+        rows = [r >> k for r in _rref(_transpose(cols, self.rank_value))
+                if not r & ((1 << k) - 1)]
+        columns = _transpose(rows, len(elements))
+        return BinaryMatroid(elements, zip(elements, columns), len(rows))
 
     def dual(self):
         """Standard-form complement: [I | D] becomes [D-transpose | I]."""
@@ -351,9 +342,9 @@ def matroid_has_minor(m, target, required=()):
         return None
     free = [e for e in m.elements if e not in required]
     for cset in combinations(free, c_need):
-        if not m.is_independent(cset):
-            continue
         after = m.contract_many(cset)
+        if after.rank_value != target.rank_value:
+            continue  # cset is dependent
         rest = [e for e in after.elements if e not in required]
         for dset in combinations(rest, d_need):
             if matroid_isomorphic(after.delete_many(dset), target) is not None:

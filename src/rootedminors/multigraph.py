@@ -284,6 +284,17 @@ def three_connected_splits(g):
     return out
 
 
+def edge_additions(g):
+    """Every g + ab for a non-adjacent pair a < b, as (graph, new edge id,
+    (a, b)); the new edge takes g.fresh_edge_id() and pairs come in sorted
+    order.  No isomorph dedup is done."""
+    eid = g.fresh_edge_id()
+    adj = g.adjacency()
+    return [(g.with_edge(eid, a, b), eid, (a, b))
+            for a, b in combinations(g.sorted_vertices(), 2)
+            if b not in adj[a]]
+
+
 def complete_graph(n):
     vertices = range(n)
     edges = {}

@@ -9,14 +9,13 @@ matter, so the enumerators filter to those.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from . import catalog
 from .io import to_json_dict
 from .isomorphism import are_isomorphic
 from .minors import (DEFAULT_NODE_CAP, FAMILY_A, FAMILY_B,
                      SearchBudgetExceeded, find_family_minor)
-from .multigraph import (VertexSplit, is_three_connected,
+from .multigraph import (VertexSplit, edge_additions, is_three_connected,
                          three_connected_splits)
 
 
@@ -76,23 +75,20 @@ class RoundednessReport:
         }
 
 
-def _tagged_isomorphic(c1, c2):
-    """Isomorphism of candidates that must map tagged edge to tagged edge.
+def _dedup(cands):
+    """One candidate per tag-preserving isomorphism class.
 
     Doubling the tagged edge makes it the unique parallel class, so a plain
-    isomorphism of the doubled graphs is exactly a tag-preserving one.
+    isomorphism of the doubled graphs is exactly a tag-preserving one; each
+    candidate's doubled graph is built once.
     """
-    g1 = c1.graph.with_edge(c1.graph.fresh_edge_id(), *c1.graph.endpoints(c1.element))
-    g2 = c2.graph.with_edge(c2.graph.fresh_edge_id(), *c2.graph.endpoints(c2.element))
-    return are_isomorphic(g1, g2) is not None
-
-
-def _dedup(cands):
-    out = []
+    kept = []  # (candidate, its doubled graph)
     for c in cands:
-        if not any(_tagged_isomorphic(c, kept) for kept in out):
-            out.append(c)
-    return out
+        g = c.graph
+        doubled = g.with_edge(g.fresh_edge_id(), *g.endpoints(c.element))
+        if all(are_isomorphic(doubled, other) is None for _, other in kept):
+            kept.append((c, doubled))
+    return [c for c, _ in kept]
 
 
 def _entry(name_or_entry):
@@ -104,16 +100,11 @@ def _entry(name_or_entry):
 def enumerate_extensions(entry):
     """Simple 3-connected one-edge extensions, one per tagged-isomorphism class."""
     entry = _entry(entry)
-    g = entry.graph
-    out = []
-    for a, b in combinations(g.sorted_vertices(), 2):
-        if g.multiplicity(a, b):
-            continue
-        eid = g.fresh_edge_id()
-        h = g.with_edge(eid, a, b)
-        if is_three_connected(h):
-            out.append(Candidate(entry.name, "extension", h, eid, (a, b)))
-    return _dedup(out)
+    return _dedup([
+        Candidate(entry.name, "extension", h, eid, pair)
+        for h, eid, pair in edge_additions(entry.graph)
+        if is_three_connected(h)
+    ])
 
 
 def enumerate_coextensions(entry):

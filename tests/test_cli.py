@@ -140,6 +140,26 @@ def test_rounded_budget_overrun_keeps_the_report(capsys):
     assert data["failures"] == []
 
 
+def test_verify_all_budget_overrun_keeps_the_report(capsys):
+    """A battery that overruns the node cap is recorded as such and the
+    others still run; exit 3 since none failed outright."""
+    code, out = _run(capsys, "--json", "--node-cap", "50", "verify-all")
+    assert code == INCONCLUSIVE
+    data = json.loads(out)
+    assert set(data) == {
+        "catalog_identities", "roundedness_families",
+        "k5_equivalence_exhaustive", "triangle_preservation_exhaustive",
+        "family_minor_sample", "r12_suite", "oracle_equivalence",
+        "wagner_consistency", "pass"}
+    assert data["catalog_identities"]["pass"] and data["r12_suite"]["pass"]
+    assert data["pass"] is False
+    for key, report in data.items():
+        if key != "pass" and not report["pass"]:
+            assert report["outcome"] == "budget", key
+    families = data["roundedness_families"]["families"]
+    assert all(f["outcome"] == "budget" for f in families.values())
+
+
 def test_rounded_verify_custom_family_fails(tmp_path, capsys):
     fam = tmp_path / "family.json"
     fam.write_text(json.dumps(["K33"]))

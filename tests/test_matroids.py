@@ -267,6 +267,19 @@ def _random_binary_matroid(rng):
     return BinaryMatroid.from_rows(rows, range(1, n + 1))
 
 
+@pytest.mark.parametrize("m", [r12(), r10()], ids=["R12", "R10"])
+def test_contract_many_is_dual_of_delete_in_dual(m):
+    """M/C = (M*\\C)*, a route that does not touch the contraction code."""
+    for k in range(4):
+        for cset in combinations(m.elements, k):
+            got = m.contract_many(cset)
+            want = m.dual().delete_many(cset).dual()
+            assert got.elements == want.elements, cset
+            assert got.rank_value == want.rank_value, cset
+            assert validate_matroid_iso(
+                got, want, {e: e for e in got.elements}), cset
+
+
 def _circuit_cases():
     cases = []
     for name in catalog.list_names():

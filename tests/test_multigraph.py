@@ -13,6 +13,7 @@ from rootedminors.multigraph import (
     VertexSplit,
     complete_graph,
     cycle_graph,
+    edge_additions,
     is_connected,
     is_three_connected,
     three_connected_splits,
@@ -238,3 +239,29 @@ def test_three_connected_splits(name, count):
         back, _ = h.contract_edge(split.new_edge_id).simplify()
         assert are_isomorphic(back, g) is not None
     assert len(partitions) == count
+
+
+def _check_edge_additions(g):
+    before = (g.vertices, g.edges)
+    adjacent = {frozenset(pair) for pair in g.edges.values()}
+    expected = [pair for pair in combinations(g.sorted_vertices(), 2)
+                if frozenset(pair) not in adjacent]
+    added = edge_additions(g)
+    assert [pair for _, _, pair in added] == expected
+    for h, eid, (a, b) in added:
+        assert eid == g.fresh_edge_id() and h.endpoints(eid) == (a, b)
+        assert h.vertices == g.vertices and h.edges == {**g.edges, eid: (a, b)}
+    assert (g.vertices, g.edges) == before
+
+
+@pytest.mark.parametrize("name", catalog.list_names())
+def test_edge_additions_on_catalog_graphs(name):
+    _check_edge_additions(catalog.build(name).graph)
+
+
+def test_edge_additions_with_parallel_edges_and_a_loop():
+    g = LabeledMultigraph(range(5), {1: (0, 1), 2: (0, 1), 7: (1, 2),
+                                     8: (2, 2), 9: (3, 4)})
+    _check_edge_additions(g)
+    assert [pair for _, _, pair in edge_additions(g)] == [
+        (0, 2), (0, 3), (0, 4), (1, 3), (1, 4), (2, 3), (2, 4)]
