@@ -1,9 +1,10 @@
 """Binary matroids over GF(2): minors, duality, isomorphism, and the R12 facts.
 
-A matroid is held as a full-row-rank r x n matrix; columns are bitmasks
-(bit i = row i) keyed by element label.  Labels, not positions, identify
-elements, so minors keep stable names.  Everything here targets ground
-sets of at most 12 elements.
+A matroid is held as its reduced row echelon matrix: each row is a bitmask
+whose bit j is the j-th element, so rank, deletion and contraction all
+work on the rows.  Labels, not positions, identify elements, so minors
+keep stable names.  Everything here targets ground sets of at most 12
+elements.
 """
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import copy
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
+from types import MappingProxyType
 
 from . import catalog
 from .multigraph import LabeledMultigraph
@@ -38,70 +40,85 @@ def _rref(rows):
     return [basis[p] for p in sorted(basis)]
 
 
-def _transpose(vectors, width):
-    """Bit j of the i-th result is bit i of vectors[j], for i < width."""
-    return [sum(((v >> i) & 1) << j for j, v in enumerate(vectors))
-            for i in range(width)]
+def _take(r, positions):
+    """The bits of `r` at `positions`, packed in that order from bit 0."""
+    return sum(((r >> p) & 1) << q for q, p in enumerate(positions))
 
 
 class BinaryMatroid:
-    """Immutable GF(2)-represented matroid with labeled elements."""
+    """Immutable GF(2)-represented matroid with labeled elements.
 
-    def __init__(self, elements, columns, rank):
+    `rows` are bitmasks over element positions (bit j = the j-th element);
+    they are reduced on construction, and their number is the rank.
+    """
+
+    def __init__(self, elements, rows):
         self.elements = tuple(elements)
-        if len(set(self.elements)) != len(self.elements):
+        try:
+            distinct = len(set(self.elements)) == len(self.elements)
+        except TypeError:
+            raise MatroidError("element labels must be hashable") from None
+        if not distinct:
             raise MatroidError("duplicate element labels")
-        self.columns = dict(columns)
-        self.rank_value = rank
+        self._rows = tuple(_rref(rows))
+        self.rank_value = len(self._rows)
 
     @classmethod
     def from_rows(cls, rows, elements):
-        """Build from 0/1 row lists (or row bitmasks) in element order."""
-        elements = tuple(elements)
+        """Build from a list of 0/1 row lists, one entry per element."""
+        if not isinstance(elements, (list, tuple, range)):
+            raise MatroidError("elements must be a list of labels")
+        if not isinstance(rows, (list, tuple)):
+            raise MatroidError("rows must be a list of 0/1 lists")
         masks = []
         for row in rows:
-            if isinstance(row, int):
-                masks.append(row)
-            else:
-                if len(row) != len(elements):
-                    raise MatroidError("row width differs from element count")
-                if any(bit not in (0, 1) for bit in row):
-                    raise MatroidError("row entries must be 0 or 1")
-                masks.append(sum(bit << j for j, bit in enumerate(row)))
-        reduced = _rref(masks)
-        columns = _transpose(reduced, len(elements))
-        return cls(elements, zip(elements, columns), len(reduced))
+            if not isinstance(row, (list, tuple)) or len(row) != len(elements):
+                raise MatroidError("each row must be a list of one 0/1 entry "
+                                   "per element")
+            if any(type(bit) is not int or bit not in (0, 1) for bit in row):
+                raise MatroidError("row entries must be 0 or 1")
+            masks.append(sum(bit << j for j, bit in enumerate(row)))
+        return cls(elements, masks)
 
     @property
     def size(self):
         return len(self.elements)
 
+    @cached_property
+    def columns(self):
+        """Read-only view: each element's column as a bitmask (bit i = row i)."""
+        return MappingProxyType({
+            e: sum(((r >> j) & 1) << i for i, r in enumerate(self._rows))
+            for j, e in enumerate(self.elements)
+        })
+
+    def _mask(self, es):
+        """Bitmask of the positions of the labels in `es`."""
+        mask = 0
+        for e in es:
+            try:
+                mask |= 1 << self.elements.index(e)
+            except ValueError:
+                raise MatroidError("unknown element %r" % (e,)) from None
+        return mask
+
     def rank(self, subset=None):
         if subset is None:
             return self.rank_value
-        try:
-            cols = [self.columns[e] for e in subset]
-        except KeyError as err:
-            raise MatroidError("unknown element %r" % (err.args[0],)) from None
-        return len(_rref(cols))
+        mask = self._mask(subset)
+        return len(_rref([r & mask for r in self._rows]))
 
     def rows(self):
         """The matrix as row bitmasks (bit j = j-th element), reduced."""
-        cols = [self.columns[e] for e in self.elements]
-        return _rref(_transpose(cols, self.rank_value))
+        return list(self._rows)
 
     def to_json_dict(self):
-        rows = self.rows()
         return {
             "elements": list(self.elements),
             "rows": [
-                [(r >> j) & 1 for j in range(len(self.elements))] for r in rows
+                [(r >> j) & 1 for j in range(self.size)] for r in self._rows
             ],
         }
-
-    def _require(self, e):
-        if e not in self.columns:
-            raise MatroidError("unknown element %r" % (e,))
 
     def delete(self, e):
         return self.delete_many((e,))
@@ -110,45 +127,43 @@ class BinaryMatroid:
         return self.contract_many((e,))
 
     def delete_many(self, es):
-        """Delete every element of `es` at once, with one reduction."""
-        es = set(es)
-        for e in es:
-            self._require(e)
-        elements = tuple(x for x in self.elements if x not in es)
-        cols = [self.columns[x] for x in elements]
-        return BinaryMatroid.from_rows(_transpose(cols, self.rank_value),
-                                       elements)
+        """Delete every element of `es` at once: keep the other positions."""
+        drop = self._mask(es)
+        if not drop:
+            return self
+        keep = [j for j in range(self.size) if not (drop >> j) & 1]
+        return BinaryMatroid([self.elements[j] for j in keep],
+                             [_take(r, keep) for r in self._rows])
 
     def contract_many(self, es):
         """Contract every element of `es` at once, with one reduction: with
-        their columns first, the reduced rows that vanish on them span the
+        their positions first, the reduced rows that vanish on them span the
         contraction's row space once restricted to the other elements."""
-        es = set(es)
-        for e in es:
-            self._require(e)
-        first = [x for x in self.elements if x in es]
-        elements = tuple(x for x in self.elements if x not in es)
+        drop = self._mask(es)
+        if not drop:
+            return self
+        first = [j for j in range(self.size) if (drop >> j) & 1]
+        keep = [j for j in range(self.size) if not (drop >> j) & 1]
         k = len(first)
-        cols = [self.columns[x] for x in first + list(elements)]
-        rows = [r >> k for r in _rref(_transpose(cols, self.rank_value))
-                if not r & ((1 << k) - 1)]
-        columns = _transpose(rows, len(elements))
-        return BinaryMatroid(elements, zip(elements, columns), len(rows))
+        rows = _rref(_take(r, first + keep) for r in self._rows)
+        return BinaryMatroid([self.elements[j] for j in keep],
+                             [r >> k for r in rows if not r & ((1 << k) - 1)])
+
+    @cached_property
+    def _fundamental_circuits(self):
+        """Bitmask of the fundamental circuit of each non-basis element:
+        itself plus the pivots of the reduced rows that contain it."""
+        pivots = 0
+        for r in self._rows:
+            pivots |= r & -r
+        return tuple(
+            (1 << pos) | sum(r & -r for r in self._rows if (r >> pos) & 1)
+            for pos in range(self.size) if not (pivots >> pos) & 1
+        )
 
     def dual(self):
-        """Standard-form complement: [I | D] becomes [D-transpose | I]."""
-        rows = self.rows()
-        # row k of the reduced matrix is the unit vector of its pivot, the
-        # k-th basis element; every other element is outside the basis
-        pivots = [(r & -r).bit_length() - 1 for r in rows]
-        basis = [self.elements[p] for p in pivots]
-        nonbasis = [pos for pos in range(self.size) if pos not in pivots]
-        dual_cols = {self.elements[pos]: 1 << q
-                     for q, pos in enumerate(nonbasis)}
-        for e, r in zip(basis, rows):
-            dual_cols[e] = sum(((r >> pos) & 1) << q
-                               for q, pos in enumerate(nonbasis))
-        return BinaryMatroid(self.elements, dual_cols, len(nonbasis))
+        """The fundamental circuits span the cycle space, the dual's rows."""
+        return BinaryMatroid(self.elements, self._fundamental_circuits)
 
     def parallel_classes(self):
         groups = {}
@@ -166,21 +181,12 @@ class BinaryMatroid:
     def simplify(self):
         """Drop loops (zero columns) and all but the smallest label per class."""
         keep = {min(cls) for cls in self.parallel_classes()}
-        elements = tuple(e for e in self.elements if e in keep)
-        return BinaryMatroid(
-            elements, {e: self.columns[e] for e in elements}, self.rank_value
-        )
+        return self.delete_many([e for e in self.elements if e not in keep])
 
     def all_ranks(self):
         """rank of every subset, indexed by bitmask over element positions."""
-        n = self.size
-        cols = [self.columns[e] for e in self.elements]
-        ranks = [0] * (1 << n)
-        for mask in range(1, 1 << n):
-            ranks[mask] = len(_rref(
-                [cols[j] for j in range(n) if (mask >> j) & 1]
-            ))
-        return ranks
+        return [len(_rref([r & mask for r in self._rows]))
+                for mask in range(1 << self.size)]
 
     def circuits(self):
         """All circuits as frozensets of labels, smallest first.
@@ -192,18 +198,9 @@ class BinaryMatroid:
     @cached_property
     def _circuits(self):
         """The cycles (element sets whose columns sum to zero) are the GF(2)
-        span of the fundamental circuits of the reduced rows; the circuits
-        are the minimal non-empty cycles."""
-        rows = self.rows()
-        pivots = 0
-        for r in rows:
-            pivots |= r & -r
-        # fundamental circuit of a non-basis element: itself plus the
-        # pivots of the rows that contain it
-        fundamental = [
-            (1 << pos) | sum(r & -r for r in rows if (r >> pos) & 1)
-            for pos in range(self.size) if not (pivots >> pos) & 1
-        ]
+        span of the fundamental circuits; the circuits are the minimal
+        non-empty cycles."""
+        fundamental = self._fundamental_circuits
         cycles = [0] * (1 << len(fundamental))
         for k in range(1, len(cycles)):
             low = k & -k
@@ -226,16 +223,14 @@ class BinaryMatroid:
 
 def cycle_matroid(g):
     """GF(2) vertex-edge incidence matroid of a multigraph; elements = edge ids."""
-    order = g.sorted_vertices()
     elements = tuple(sorted(g.edges))
-    rows = []
-    for v in order:
-        row = []
-        for e in elements:
-            a, b = g.endpoints(e)
-            row.append(1 if a != b and v in (a, b) else 0)
-        rows.append(row)
-    return BinaryMatroid.from_rows(rows, elements)
+    rows = dict.fromkeys(g.vertices, 0)
+    for j, e in enumerate(elements):
+        a, b = g.endpoints(e)
+        if a != b:
+            rows[a] |= 1 << j
+            rows[b] |= 1 << j
+    return BinaryMatroid(elements, rows.values())
 
 
 @dataclass(frozen=True)
@@ -334,7 +329,7 @@ def matroid_has_minor(m, target, required=()):
     """
     required = frozenset(required)
     for e in required:
-        if e not in m.columns:
+        if e not in m.elements:
             raise MatroidError("required element %r not in ground set" % (e,))
     c_need = m.rank_value - target.rank_value
     d_need = m.size - c_need - target.size

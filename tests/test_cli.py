@@ -269,6 +269,21 @@ def test_matroid_file_without_elements(tmp_path, capsys):
     assert "elements" in err
 
 
+@pytest.mark.parametrize("data", [
+    {"rows": 5, "elements": [1]},
+    {"rows": [[1]], "elements": 3},
+    {"rows": [[1, 0]], "elements": [1, [2]]},
+    {"rows": [1.5], "elements": [1]},
+    {"rows": [6], "elements": [1, 2]},
+], ids=["rows-not-a-list", "elements-not-a-list", "unhashable-label",
+        "row-not-a-list", "row-as-bitmask"])
+def test_malformed_matroid_file(tmp_path, capsys, data):
+    mfile = tmp_path / "m.json"
+    mfile.write_text(json.dumps(data))
+    _usage_error(capsys, ["matroid", "minor", "--host", str(mfile),
+                          "--target", "K5"])
+
+
 def test_certificate_without_iso(tmp_path, capsys):
     host = tmp_path / "host.json"
     host.write_text(io.to_json(catalog.build("K5").graph))

@@ -172,12 +172,26 @@ def test_r10_is_not_graphic():
 
 
 def test_from_rows_validates():
-    with pytest.raises(MatroidError):
-        BinaryMatroid.from_rows([[1, 0]], [1, 1])
-    with pytest.raises(MatroidError):
-        BinaryMatroid.from_rows([[1, 0, 1]], [1, 2])
-    with pytest.raises(MatroidError):
-        BinaryMatroid.from_rows([[2, 0]], [1, 2])
+    for rows, elements in [
+        ([[1, 0]], [1, 1]),
+        ([[1, 0, 1]], [1, 2]),
+        ([[2, 0]], [1, 2]),
+        ([[True, 0]], [1, 2]),
+        ([[1.0, 0]], [1, 2]),
+        (5, [1]),
+        ([[1]], 3),
+        ([[1, 0]], [1, [2]]),
+        ([1.5], [1]),
+        ([6], [1, 2]),
+    ]:
+        with pytest.raises(MatroidError):
+            BinaryMatroid.from_rows(rows, elements)
+
+
+def _rows_of_columns(columns, height):
+    """Row i holds bit i of each column, bit j for the j-th column."""
+    return [sum(((c >> i) & 1) << j for j, c in enumerate(columns))
+            for i in range(height)]
 
 
 def test_pivot_independence_of_contraction():
@@ -198,8 +212,9 @@ def test_pivot_independence_of_contraction():
             if (c >> t) & 1:
                 c ^= col
             cols[x] = (c & low) | ((c >> (t + 1)) << t)
-        alt = BinaryMatroid(tuple(x for x in m.elements if x != e),
-                            cols, m.rank_value - 1)
+        elements = tuple(x for x in m.elements if x != e)
+        alt = BinaryMatroid(elements, _rows_of_columns(
+            [cols[x] for x in elements], m.rank_value - 1))
         assert validate_matroid_iso(alt, reference,
                                     {x: x for x in alt.elements})
 
@@ -289,6 +304,30 @@ def _circuit_cases():
     rng = random.Random(11)
     cases += [("random%d" % i, _random_binary_matroid(rng)) for i in range(50)]
     return cases
+
+
+def _eliminated_rank(columns):
+    """GF(2) rank of column bitmasks by elimination on the highest bit."""
+    basis = {}
+    for c in columns:
+        while c and c.bit_length() in basis:
+            c ^= basis[c.bit_length()]
+        if c:
+            basis[c.bit_length()] = c
+    return len(basis)
+
+
+def test_row_representation_agrees_with_columns():
+    for name, m in _circuit_cases():
+        if m.size <= 8:
+            for k in range(m.size + 1):
+                for subset in combinations(m.elements, k):
+                    assert m.rank(subset) == _eliminated_rank(
+                        m.columns[e] for e in subset), (name, subset)
+        d = m.dual()
+        assert d.rank_value == m.size - m.rank_value, name
+        assert validate_matroid_iso(d.dual(), m, {e: e for e in m.elements}), name
+        assert m.delete_many(()) is m, name
 
 
 def test_circuits_match_brute_force():
