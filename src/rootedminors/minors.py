@@ -106,47 +106,81 @@ def verify_model(model, pattern=None):
     return True, []
 
 
-def _connected_subsets(adj, allowed, must, max_size, budget):
-    """Connected subsets of `allowed`, containing `must`, up to max_size.
+def _bits(mask):
+    """Indices of the set bits of `mask`, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
-    No subset is produced twice.  `budget` is a one-element list counting
+
+def _connected_subsets(nbr, pool, must, max_size, budget):
+    """Connected subsets of `pool` that contain `must`, up to max_size vertices.
+
+    Vertex sets are int masks, bit i standing for the i-th host vertex, and
+    nbr[i] is vertex i's neighbourhood.  Yields (subset, neighbourhood)
+    pairs, the neighbourhood being the union of nbr over the subset.  Every
+    subset is produced exactly once.  With `must`, all grow from its smallest
+    vertex.  Without it, the subsets whose smallest vertex is r grow from r
+    inside the pool's vertices from r up, so they come in increasing order of
+    their smallest vertex.  `budget` is a one-element list counting
     expansions against the global node cap.
     """
-    if max_size <= 0 or (must and len(must) > max_size):
-        return
-    allowed = set(allowed)
-    if not must.issubset(allowed):
+    if max_size <= 0 or must & ~pool or must.bit_count() > max_size:
         return
 
-    def rec(sub, ext, forbidden):
+    def rec(sub, reach, size, ext, seen, grow):
+        # ext lists the candidates in the order they were met; seen holds
+        # sub, ext and every candidate excluded above this node
         budget[0] -= 1
         if budget[0] < 0:
             raise SearchBudgetExceeded("minor search exceeded its node cap")
-        if must.issubset(sub):
-            yield frozenset(sub)
-        if len(sub) >= max_size:
+        if sub & must == must:
+            yield sub, reach
+        if size >= max_size:
             return
         for i, v in enumerate(ext):
-            new_sub = sub | {v}
-            new_forbidden = forbidden | set(ext[:i])
-            new_ext = list(ext[i + 1:])
-            seen = new_sub | new_forbidden | set(new_ext)
-            for u in sorted(adj[v] & allowed):
-                if u not in seen:
-                    new_ext.append(u)
-                    seen.add(u)
-            yield from rec(new_sub, new_ext, new_forbidden)
+            new = nbr[v] & grow & ~seen
+            yield from rec(sub | 1 << v, reach | nbr[v], size + 1,
+                           ext[i + 1:] + _bits(new), seen | new, grow)
 
-    if must:
-        root = min(must)
-        ext = sorted(adj[root] & allowed)
-        yield from rec({root}, ext, set())
-    else:
-        roots = sorted(allowed)
-        for i, root in enumerate(roots):
-            pool = allowed - set(roots[:i])
-            ext = sorted(adj[root] & pool)
-            yield from rec({root}, ext, set())
+    roots = must & -must if must else pool
+    while roots:
+        low = roots & -roots
+        roots ^= low
+        grow = pool if must else pool & -low
+        r = low.bit_length() - 1
+        first = nbr[r] & grow
+        yield from rec(low, nbr[r], 1, _bits(first), low | first, grow)
+
+
+@lru_cache(maxsize=32)
+def _pattern_shape(pattern):
+    """(sorted vertices, simple edges, unpinned placement order) of a pattern.
+
+    Built once per pattern graph; the order puts larger degree first.
+    """
+    vertices = tuple(pattern.sorted_vertices())
+    edges = tuple(sorted({(min(a, b), max(a, b))
+                          for a, b in pattern.edges.values() if a != b}))
+    degree = dict.fromkeys(vertices, 0)
+    for p, q in edges:
+        degree[p] += 1
+        degree[q] += 1
+    return vertices, edges, tuple(sorted(vertices,
+                                         key=lambda p: (-degree[p], p)))
+
+
+@lru_cache(maxsize=None)
+def _automorphisms(vertices, edges):
+    """Aut(pattern) as vertex -> vertex dicts."""
+    pairs = {frozenset(e) for e in edges}
+    sigmas = (dict(zip(vertices, perm)) for perm in permutations(vertices))
+    return tuple(sigma for sigma in sigmas
+                 if all(frozenset((sigma[p], sigma[q])) in pairs
+                        for p, q in edges))
 
 
 def _pin_assignments(required, host, pattern):
@@ -165,20 +199,15 @@ def _pin_assignments(required, host, pattern):
         shape.append((slots.setdefault(x, len(slots)),
                       slots.setdefault(y, len(slots))))
     vertex_of = sorted(slots, key=slots.get)
-    edges = tuple(sorted({(min(a, b), max(a, b))
-                          for a, b in pattern.edges.values() if a != b}))
-    for rep in _orbit_representatives(tuple(pattern.sorted_vertices()), edges,
-                                      tuple(shape)):
+    vertices, edges, _ = _pattern_shape(pattern)
+    for rep in _orbit_representatives(vertices, edges, tuple(shape)):
         yield dict(zip(vertex_of, rep))
 
 
 @lru_cache(maxsize=None)
 def _orbit_representatives(vertices, edges, shape):
     """Slot -> pattern-vertex tuples, the first of each Aut(pattern) orbit."""
-    pairs = {frozenset(e) for e in edges}
-    sigmas = (dict(zip(vertices, perm)) for perm in permutations(vertices))
-    auts = [sigma for sigma in sigmas
-            if all(frozenset((sigma[p], sigma[q])) in pairs for p, q in edges)]
+    auts = _automorphisms(vertices, edges)
 
     def rec(i, pins, used_edges):
         if i == len(shape):
@@ -205,8 +234,58 @@ def _orbit_representatives(vertices, edges, shape):
     return tuple(reps)
 
 
-def _build_model(host, pattern, pattern_name, branches, required):
-    """Assemble a MinorModel from a complete branch-set placement."""
+@lru_cache(maxsize=None)
+def _symmetry_floors(vertices, edges, order, pinned):
+    """Per placement position, the position of its floor, or None.
+
+    Puget's stabilizer chain for all-different variables, the variables
+    being the branch sets' smallest host vertices.  G starts as the
+    automorphisms fixing every pinned pattern vertex.  Walking the order,
+    each q in the orbit of b under G gets "min(B_q) > min(B_b)", and G
+    shrinks to the stabilizer of b.  A later b's orbit lies in an earlier
+    one's, so its constraint implies the earlier ones and q keeps only the
+    last b: its floor.  Exactly one placement per G-orbit of placements
+    meets every floor.
+    """
+    group = [s for s in _automorphisms(vertices, edges)
+             if all(s[p] == p for p in pinned)]
+    pos = {p: i for i, p in enumerate(order)}
+    floors = [None] * len(order)
+    for i, b in enumerate(order):
+        for s in group:
+            if s[b] != b:
+                floors[pos[s[b]]] = i
+        group = [s for s in group if s[b] == b]
+    return tuple(floors)
+
+
+@lru_cache(maxsize=None)
+def _placement_plan(edges, order):
+    """Per placement position i, the checks made after placing order[i].
+
+    Returns (earlier, checks): earlier[i] holds the positions before i
+    adjacent to order[i], and checks[i] the (j, count) pairs, j <= i, of the
+    placed branches with `count` pattern neighbours placed after i.
+    """
+    pos = {p: i for i, p in enumerate(order)}
+    adjacent = [[] for _ in order]
+    for p, q in edges:
+        adjacent[pos[p]].append(pos[q])
+        adjacent[pos[q]].append(pos[p])
+    earlier = tuple(tuple(sorted(j for j in adjacent[i] if j < i))
+                    for i in range(len(order)))
+    checks = tuple(
+        tuple((j, k) for j in range(i + 1)
+              if (k := sum(1 for t in adjacent[j] if t > i)))
+        for i in range(len(order)))
+    return earlier, checks
+
+
+def _build_model(host, edges, pattern_name, branches, required):
+    """Assemble a MinorModel from a complete branch-set placement.
+
+    `edges` are the pattern's edges (p, q), p < q, in sorted order.
+    """
     branch_of = {}
     for p, sub in branches.items():
         for v in sub:
@@ -225,9 +304,7 @@ def _build_model(host, pattern, pattern_name, branches, required):
         key = (pa, pb) if pa <= pb else (pb, pa)
         between.setdefault(key, []).append(e)
     kept = set()
-    for p, q in sorted(
-        (p, q) for p in pattern.vertices for q in pattern.adjacency()[p] if p < q
-    ):
+    for p, q in edges:
         candidates = between.get((p, q) if p <= q else (q, p), [])
         forced = [e for e in candidates if e in required]
         kept.add(forced[0] if forced else min(candidates))
@@ -253,80 +330,93 @@ def find_minor(host, pattern, required=(), pattern_name="", node_cap=DEFAULT_NOD
     if host.n < pattern.n or host.m < pattern.m:
         return None
 
-    adj = host.adjacency()
-    pattern_adj = pattern.adjacency()
+    vertices, edges, unpinned_order = _pattern_shape(pattern)
+    verts = host.sorted_vertices()
+    index = {v: i for i, v in enumerate(verts)}
+    nbr = [0] * len(verts)
+    for a, b in host.edges.values():
+        if a != b:
+            nbr[index[a]] |= 1 << index[b]
+            nbr[index[b]] |= 1 << index[a]
     budget = [node_cap]
 
     for pins in _pin_assignments(required, host, pattern):
-        pins_by_p = {}
+        pinned = {}
         for v, p in pins.items():
-            pins_by_p.setdefault(p, set()).add(v)
-        order = sorted(
-            pattern.vertices,
-            key=lambda p: (-len(pins_by_p.get(p, ())), -len(pattern_adj[p]), p),
-        )
-        all_pinned = set(pins)
+            pinned[p] = pinned.get(p, 0) | 1 << index[v]
+        # pinned vertices first, the most pins first; stable, so ties keep
+        # the unpinned order
+        order = tuple(sorted(unpinned_order,
+                             key=lambda p: -pinned.get(p, 0).bit_count()))
         model = _place(
-            host, pattern, pattern_name, adj, pattern_adj, order, pins_by_p,
-            all_pinned, required, budget,
+            host, edges, pattern_name, required, verts, nbr, order,
+            [pinned.get(p, 0) for p in order],
+            _symmetry_floors(vertices, edges, order, frozenset(pinned)),
+            budget,
         )
         if model is not None:
             return model
     return None
 
 
-def _place(host, pattern, pattern_name, adj, pattern_adj, order, pins_by_p,
-           all_pinned, required, budget):
-    available = set(host.vertices)
-    branches = {}
+def _place(host, edges, pattern_name, required, verts, nbr, order, must,
+           floors, budget):
+    """The first placement of branch sets in search order, as a model.
 
-    def min_need(i):
-        return sum(max(1, len(pins_by_p.get(q, ()))) for q in order[i:])
+    Position i places order[i]'s branch set: a connected subset of the host
+    vertices still free, holding must[i] and no other position's pins,
+    adjacent to the branch of every earlier pattern neighbour, and above its
+    floor's smallest vertex.
 
-    def feasible_frontiers(new_available):
-        # every placed branch must still reach one vertex per unplaced
-        # pattern neighbor
-        for q, sub in branches.items():
-            unplaced = [r for r in pattern_adj[q] if r not in branches]
-            if not unplaced:
-                continue
-            frontier = set()
-            for v in sub:
-                frontier |= adj[v] & new_available
-            if len(frontier) < len(unplaced):
-                return False
-        return True
+    Unpinned branch sets are tried in increasing order of their smallest
+    vertex.  Say the first model found without floors broke the floor f of
+    position i.  An automorphism fixing the pins and the positions before f
+    and taking order[f] to order[i] maps it to a model that agrees with it
+    before f and takes at f a branch with a smaller smallest vertex, one
+    the search would have found first.  So the floors change no answer and
+    no model.
+    """
+    n = len(order)
+    earlier, checks = _placement_plan(edges, order)
+    all_pinned = 0
+    for m in must:
+        all_pinned |= m
+    need = [0] * (n + 1)  # fewest vertices the positions from i on take
+    for i in range(n - 1, -1, -1):
+        need[i] = need[i + 1] + max(1, must[i].bit_count())
+    branch = [0] * n
+    reach = [0] * n  # neighbourhood of each placed branch
 
-    def rec(i):
+    def rec(i, available):
         budget[0] -= 1
         if budget[0] < 0:
             raise SearchBudgetExceeded("minor search exceeded its node cap")
-        if i == len(order):
-            return _build_model(host, pattern, pattern_name, branches, required)
-        p = order[i]
-        must = frozenset(pins_by_p.get(p, ()))
-        foreign_pins = all_pinned - must
-        pool = available - foreign_pins
-        max_size = len(available) - min_need(i + 1)
-        for sub in _connected_subsets(adj, pool, must, max_size, budget):
-            ok = True
-            for q in pattern_adj[p]:
-                if q in branches and not any(adj[v] & sub for v in branches[q]):
-                    ok = False
-                    break
-            if not ok:
+        if i == n:
+            branches = {p: {verts[k] for k in _bits(b)}
+                        for p, b in zip(order, branch)}
+            return _build_model(host, edges, pattern_name, branches, required)
+        pool = available & ~(all_pinned & ~must[i])
+        f = floors[i]
+        if f is not None:
+            low = branch[f] & -branch[f]
+            pool &= -(low << 1)  # only vertices above the floor's smallest
+        max_size = available.bit_count() - need[i + 1]
+        adjacent, frontiers = earlier[i], checks[i]
+        for sub, sub_reach in _connected_subsets(nbr, pool, must[i], max_size,
+                                                 budget):
+            if any(not reach[j] & sub for j in adjacent):
                 continue
-            branches[p] = sub
-            available.difference_update(sub)
-            if feasible_frontiers(available):
-                found = rec(i + 1)
+            rest = available & ~sub
+            branch[i], reach[i] = sub, sub_reach
+            # every placed branch must still reach one vertex per unplaced
+            # pattern neighbour
+            if all((reach[j] & rest).bit_count() >= k for j, k in frontiers):
+                found = rec(i + 1, rest)
                 if found is not None:
                     return found
-            available.update(sub)
-            del branches[p]
         return None
 
-    return rec(0)
+    return rec(0, (1 << len(verts)) - 1)
 
 
 def find_family_minor(host, family, required=(), triangle=None,

@@ -1,9 +1,10 @@
 """Rooted minor search: models, verification, triangle preservation."""
+import random
 from itertools import combinations, permutations, product
 
 import pytest
 
-from rootedminors import catalog, minors
+from rootedminors import catalog, generate, minors
 from rootedminors.isomorphism import are_isomorphic
 from rootedminors.minors import (
     FAMILY_A,
@@ -444,3 +445,134 @@ def test_orbit_reduction_returns_the_full_search_model(monkeypatch):
     assert any(m is None for m in full) and any(m is not None for m in full)
     for query, a, b in zip(queries, reduced, full):
         assert (a and a.to_json_dict()) == (b and b.to_json_dict()), query
+
+
+def _masks(g):
+    """Neighbourhood masks of g, bit i for the i-th vertex in sorted order."""
+    verts = g.sorted_vertices()
+    index = {v: i for i, v in enumerate(verts)}
+    adj = g.adjacency()
+    return [sum(1 << index[u] for u in adj[v]) for v in verts]
+
+
+def _brute_connected_subsets(nbr, pool, must, max_size):
+    subsets = set()
+    for sub in range(1, 1 << len(nbr)):
+        if sub & ~pool or sub & must != must or sub.bit_count() > max_size:
+            continue
+        reached = sub & -sub
+        while True:
+            grown = reached
+            for i in range(len(nbr)):
+                if reached >> i & 1:
+                    grown |= nbr[i] & sub
+            if grown == reached:
+                break
+            reached = grown
+        if reached == sub:
+            subsets.add(sub)
+    return subsets
+
+
+def _subset_cases():
+    rng = random.Random(12)
+    graphs = [catalog.build(name).graph for name in catalog.list_names()]
+    for _ in range(30):
+        n = rng.randint(4, 9)
+        pairs = [(a, b) for a, b in combinations(range(n), 2)
+                 if rng.random() < 0.4]
+        graphs.append(LabeledMultigraph(range(n), dict(enumerate(pairs, 1))))
+    for g in graphs:
+        nbr = _masks(g)
+        full = (1 << len(nbr)) - 1
+        pool = full & ~(1 << rng.randrange(len(nbr)))
+        members = [i for i in range(len(nbr)) if pool >> i & 1]
+        for must in (0, 1 << rng.choice(members),
+                     sum(1 << i for i in rng.sample(members, 2))):
+            for max_size in (1, 3, len(nbr)):
+                yield nbr, pool, must, max_size
+
+
+def test_connected_subsets_come_once_each_in_order():
+    cases = list(_subset_cases())
+    assert len(cases) == 50 * 3 * 3
+    for nbr, pool, must, max_size in cases:
+        out = list(minors._connected_subsets(nbr, pool, must, max_size,
+                                             [10 ** 9]))
+        subsets = [sub for sub, _ in out]
+        assert len(subsets) == len(set(subsets))
+        assert set(subsets) == _brute_connected_subsets(nbr, pool, must,
+                                                        max_size)
+        for sub, reach in out:
+            union = 0
+            for i in range(len(nbr)):
+                if sub >> i & 1:
+                    union |= nbr[i]
+            assert reach == union
+        if not must:
+            smallest = [sub & -sub for sub in subsets]
+            assert smallest == sorted(smallest)
+
+
+FLOOR_CASES = [
+    ("K5", (), 120),
+    ("K33", (), 72),
+    ("K33_11", (), 8),
+    ("K5", (0, 1, 2), 2),  # the shape of a K5 pin map on a host triangle
+]
+
+
+@pytest.mark.parametrize("name,pinned,group_size", FLOOR_CASES)
+def test_symmetry_floors_keep_one_placement_per_orbit(name, pinned,
+                                                      group_size):
+    pattern = catalog.build(name).graph
+    vertices, edges, order = minors._pattern_shape(pattern)
+    order = tuple(sorted(order, key=lambda p: p not in pinned))
+    floors = minors._symmetry_floors(vertices, edges, order,
+                                     frozenset(pinned))
+    assert all(f is None or f < i for i, f in enumerate(floors))
+    group = [sigma for sigma in _automorphisms(pattern)
+             if all(sigma[p] == p for p in pinned)]
+    assert len(group) == group_size
+    # branch sets are disjoint, so their smallest host vertices differ; of
+    # the group's images of any such placement exactly one meets the floors
+    rng = random.Random(7)
+    for _ in range(100):
+        smallest = dict(zip(vertices, rng.sample(range(100), len(vertices))))
+        meets = [sigma for sigma in group
+                 if all(f is None
+                        or smallest[sigma[order[i]]] > smallest[sigma[order[f]]]
+                        for i, f in enumerate(floors))]
+        assert len(meets) == 1
+
+
+def test_symmetry_floors_form_a_chain_on_k5():
+    vertices, edges, order = minors._pattern_shape(catalog.build("K5").graph)
+    assert order == (0, 1, 2, 3, 4)
+    assert minors._symmetry_floors(vertices, edges, order, frozenset()) \
+        == (None, 0, 1, 2, 3)
+    assert minors._symmetry_floors(vertices, edges, order,
+                                   frozenset({0, 1, 2})) \
+        == (None, None, None, None, 3)
+
+
+def _closure_answers():
+    answers = []
+    for h in generate.three_connected_by_wheels(7):
+        models = [find_minor(h, p) for p in ("K5", "K33", "K33_11")]
+        for tri in h.triangles():
+            models += [preserve_triangle_k331(h, tri),
+                       preserve_triangle_k5(h, tri)]
+        answers.append([m and m.to_json_dict() for m in models])
+    return answers
+
+
+def test_symmetry_floors_return_the_unbroken_search_model(monkeypatch):
+    with_floors = _closure_answers()
+    monkeypatch.setattr(minors, "_symmetry_floors",
+                        lambda vertices, edges, order, pinned:
+                        (None,) * len(order))
+    assert _closure_answers() == with_floors
+    flat = [m for models in with_floors for m in models]
+    assert len(with_floors) == 157
+    assert None in flat and any(m is not None for m in flat)
