@@ -1,9 +1,11 @@
 """Graph generation for exhaustive and randomized verification runs.
 
 The exhaustive battery scans the 3-connected classes of a wheel-based
-closure generator.  Edge-addition enumeration with isomorphism dedup gives
-every simple graph; filtered by is_three_connected it cross-checks the
-closure at small n, and a permutation-orbit count cross-checks it in turn.
+closure generator.  Edge-addition enumeration gives every simple graph;
+filtered by is_three_connected it cross-checks the closure at small n, and
+a permutation-orbit count cross-checks it in turn.  Both run through one
+closure loop, which keeps a graph when its canonical code
+(isomorphism.canonical_labeling) has not been met before.
 Random host generators are driven by a caller-owned random.Random so runs
 are reproducible from a seed.
 """
@@ -14,43 +16,26 @@ from itertools import combinations, permutations
 from math import factorial
 
 from . import catalog
-from .isomorphism import are_isomorphic
+from .isomorphism import are_isomorphic, canonical_labeling
 from .multigraph import (LabeledMultigraph, edge_additions,
                          is_three_connected, three_connected_splits)
-
-
-def _invariant_key(g):
-    deg = {v: g.degree(v) for v in g.vertices}
-    nbr = tuple(sorted(
-        tuple(sorted(deg[u] for u in g.neighbors(v))) for v in g.vertices
-    ))
-    return (g.n, g.m, tuple(sorted(deg.values())), nbr, len(g.triangles()))
-
-
-def _add_new(buckets, g):
-    """Insert g into invariant-keyed buckets unless an isomorph is present."""
-    key = _invariant_key(g)
-    seen = buckets.setdefault(key, [])
-    for other in seen:
-        if are_isomorphic(g, other) is not None:
-            return False
-    seen.append(g)
-    return True
 
 
 def _closure(seeds, grow):
     """One representative per isomorphism class reachable from `seeds`,
     where grow(g) lists the graphs one step from g; classes come in the
-    order they are first met, the frontier is a stack."""
-    buckets = {}
-    classes = [g for g in seeds if _add_new(buckets, g)]
-    frontier = list(classes)
+    order they are first met, the frontier is a stack.  A graph is new
+    when its canonical code has not been met: one labelling, one lookup.
+    """
+    classes = {}  # canonical code -> the first graph met with it
+
+    def is_new(g):
+        return classes.setdefault(canonical_labeling(g)[0], g) is g
+
+    frontier = [g for g in seeds if is_new(g)]
     while frontier:
-        for h in grow(frontier.pop()):
-            if _add_new(buckets, h):
-                classes.append(h)
-                frontier.append(h)
-    return classes
+        frontier.extend(h for h in grow(frontier.pop()) if is_new(h))
+    return list(classes.values())
 
 
 def _edge_additions(g):
@@ -178,8 +163,8 @@ def random_nonplanar_host(rng, max_vertices=12):
             g = g.with_edge(g.fresh_edge_id(), *missing.pop())
         if not is_three_connected(g):
             continue
-        if g.n == 5:
-            continue  # the only 3-connected outcome on 5 vertices here is K5
+        if are_isomorphic(g, catalog.build("K5").graph) is not None:
+            continue
         return g
 
 

@@ -1,105 +1,150 @@
-"""Exact multigraph isomorphism by backtracking with refinement pruning.
+"""Canonical labelling of multigraphs by individualisation and refinement.
 
-Intended for graphs with at most ~16 vertices.  Loops and edge
-multiplicities are respected; the returned object is a vertex bijection
-inducing a multigraph isomorphism, or None.
+The search is nauty's (B. D. McKay and A. Piperno, *Practical graph
+isomorphism, II*, J. Symbolic Comput. 60, 2014), cut down to graphs with at
+most ~16 vertices.  Vertex sets are int masks, bit i for the i-th vertex in
+sorted order.  Layer k holds a row per vertex: bit j of row i is set when
+more than k edges join i and j (loops when j == i).  Two multigraphs are
+isomorphic exactly when their codes are equal; `is_isomorphism` checks a
+vertex bijection independently.
 """
 from __future__ import annotations
 
 
-def _multiplicity_tables(g):
-    mult = {v: {} for v in g.vertices}
-    loops = {v: 0 for v in g.vertices}
+def _refine(layers, cells, pending):
+    """Split the ordered cells (int masks) until they are equitable.
+
+    A cell splits by its vertices' edge counts into a splitter cell, taken
+    from `pending` in partition order; the pieces take its place in order
+    of count, so no position depends on a label.  The pieces become
+    splitters, except the largest when the split cell has already served.
+    """
+    n = len(layers[0])
+    while pending and len(cells) < n:
+        w = next(c for c in cells if c in pending)
+        pending.discard(w)
+        out = []
+        for cell in cells:
+            if cell & (cell - 1):
+                groups = {}
+                rest = cell
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    v = low.bit_length() - 1
+                    k = 0
+                    for rows in layers:
+                        k += (rows[v] & w).bit_count()
+                    groups[k] = groups.get(k, 0) | low
+                if len(groups) > 1:
+                    pieces = [groups[k] for k in sorted(groups)]
+                    out += pieces
+                    pending.update(pieces)
+                    pending.discard(cell if cell in pending
+                                    else max(pieces, key=int.bit_count))
+                    continue
+            out.append(cell)
+        cells = out
+    return cells
+
+
+def _search(layers, cells, fixed, leaves, autos):
+    """Record in `leaves` (code -> vertex order) the leaves below this node.
+
+    Each vertex of the first smallest non-singleton cell is individualised
+    in turn.  A leaf's code is every layer's rows permuted to its order,
+    n bits each.  Two leaves with one code give an automorphism; a vertex
+    that one fixing `fixed` maps from a vertex tried is skipped.
+    """
+    target = 0
+    for c in cells:
+        if c & (c - 1) and (not target or c.bit_count() < target.bit_count()):
+            target = c
+    if not target:
+        order = [c.bit_length() - 1 for c in cells]
+        lift = {1 << v: 1 << p for p, v in enumerate(order)}
+        code = 0
+        for rows in layers:
+            for v in order:
+                row, img = rows[v], 0
+                while row:
+                    low = row & -row
+                    img |= lift[low]
+                    row ^= low
+                code = code << len(order) | img
+        first = leaves.setdefault(code, order)
+        if first is not order:
+            autos.append(dict(zip(first, order)))
+        return
+    at = cells.index(target)
+    tried, rest = [], target
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        v = low.bit_length() - 1
+        if autos and tried and v in _orbit(tried, autos, fixed):
+            continue
+        tried.append(v)
+        child = cells[:at] + [low, target ^ low] + cells[at + 1:]
+        _search(layers, _refine(layers, child, {low}), fixed + [v], leaves,
+                autos)
+
+
+def _orbit(start, autos, fixed):
+    """The orbit of `start` under the automorphisms that fix `fixed`."""
+    gens = [p for p in autos if all(p[u] == u for u in fixed)]
+    orbit, stack = set(start), list(start)
+    while stack:
+        u = stack.pop()
+        for p in gens:
+            if p[u] not in orbit:
+                orbit.add(p[u])
+                stack.append(p[u])
+    return orbit
+
+
+def canonical_labeling(g):
+    """(code, vertex order): the code is an int equal for two multigraphs
+    exactly when they are isomorphic, and the order lists g's vertices by
+    canonical position.  Loop counts are the starting colours.  The code is
+    n + 1 ones and a zero, then the largest leaf code, so n and the number
+    of layers can be read back and no field can overflow.
+    """
+    verts = g.sorted_vertices()
+    n = len(verts)
+    index = {v: i for i, v in enumerate(verts)}
+    layers = [[0] * n]
+    loops = [0] * n
     for a, b in g.edges.values():
-        if a == b:
-            loops[a] += 1
-        else:
-            mult[a][b] = mult[a].get(b, 0) + 1
-            mult[b][a] = mult[b].get(a, 0) + 1
-    return mult, loops
-
-
-def _refine(order, mult, loops):
-    """Iterated neighborhood-multiset coloring; returns vertex -> color int."""
-    color = {v: (sum(mult[v].values()) + 2 * loops[v], loops[v]) for v in order}
-    canon = {}
-    color = {v: canon.setdefault(color[v], len(canon)) for v in order}
-    while True:
-        sig = {
-            v: (color[v], tuple(sorted((color[u], m) for u, m in mult[v].items())))
-            for v in order
-        }
-        canon = {}
-        new = {v: canon.setdefault(sig[v], len(canon)) for v in order}
-        if len(set(new.values())) == len(set(color.values())):
-            return new
-        color = new
-
-
-def _histogram(color):
-    hist = {}
-    for c in color.values():
-        hist[c] = hist.get(c, 0) + 1
-    return hist
+        i, j = index[a], index[b]
+        if i == j:
+            loops[i] += 1
+        k = 0
+        while layers[k][i] >> j & 1:
+            k += 1
+            if k == len(layers):
+                layers.append([0] * n)
+        layers[k][i] |= 1 << j
+        layers[k][j] |= 1 << i
+    start = {}
+    for i, count in enumerate(loops):
+        start[count] = start.get(count, 0) | 1 << i
+    cells = [start[count] for count in sorted(start)]
+    leaves, autos = {}, []
+    _search(layers, _refine(layers, cells, set(cells)), [], leaves, autos)
+    rows = max(leaves)
+    return (((2 << n) - 1) << 1 + n * n * len(layers) | rows,
+            [verts[v] for v in leaves[rows]])
 
 
 def are_isomorphic(g1, g2):
-    """Vertex bijection V(g1) -> V(g2) inducing an isomorphism, or None."""
+    """Vertex bijection V(g1) -> V(g2) inducing an isomorphism, or None;
+    each vertex goes to the vertex of g2 at its canonical position."""
     if g1.n != g2.n or g1.m != g2.m:
         return None
-    order1, order2 = g1.sorted_vertices(), g2.sorted_vertices()
-    mult1, loops1 = _multiplicity_tables(g1)
-    mult2, loops2 = _multiplicity_tables(g2)
-    # joint refinement so color ids are comparable across the two graphs
-    joint_mult = {("a", v): {("a", u): m for u, m in mult1[v].items()} for v in order1}
-    joint_mult.update(
-        {("b", v): {("b", u): m for u, m in mult2[v].items()} for v in order2}
-    )
-    joint_loops = {("a", v): loops1[v] for v in order1}
-    joint_loops.update({("b", v): loops2[v] for v in order2})
-    joint_order = [("a", v) for v in order1] + [("b", v) for v in order2]
-    color = _refine(joint_order, joint_mult, joint_loops)
-    c1 = {v: color[("a", v)] for v in order1}
-    c2 = {v: color[("b", v)] for v in order2}
-    if _histogram(c1) != _histogram(c2):
-        return None
-
-    by_color2 = {}
-    for v in order2:
-        by_color2.setdefault(c2[v], []).append(v)
-    # assign small color classes first
-    todo = sorted(order1, key=lambda v: (len(by_color2.get(c1[v], ())), c1[v], v))
-
-    mapping = {}
-    used = set()
-
-    def extend(i):
-        if i == len(todo):
-            return True
-        v = todo[i]
-        for w in by_color2[c1[v]]:
-            if w in used:
-                continue
-            if loops1[v] != loops2[w]:
-                continue
-            ok = True
-            for u, img in mapping.items():
-                if mult1[v].get(u, 0) != mult2[w].get(img, 0):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            mapping[v] = w
-            used.add(w)
-            if extend(i + 1):
-                return True
-            del mapping[v]
-            used.discard(w)
-        return False
-
-    if extend(0):
-        return dict(mapping)
-    return None
+    code1, order1 = canonical_labeling(g1)
+    code2, order2 = canonical_labeling(g2)
+    return dict(zip(order1, order2)) if code1 == code2 else None
 
 
 def is_isomorphism(g1, g2, mapping):

@@ -147,13 +147,16 @@ def _connected_subsets(nbr, pool, must, max_size, budget):
                            ext[i + 1:] + _bits(new), seen | new, grow)
 
     roots = must & -must if must else pool
-    while roots:
-        low = roots & -roots
-        roots ^= low
-        grow = pool if must else pool & -low
-        r = low.bit_length() - 1
-        first = nbr[r] & grow
-        yield from rec(low, nbr[r], 1, _bits(first), low | first, grow)
+    try:
+        while roots:
+            low = roots & -roots
+            roots ^= low
+            grow = pool if must else pool & -low
+            r = low.bit_length() - 1
+            first = nbr[r] & grow
+            yield from rec(low, nbr[r], 1, _bits(first), low | first, grow)
+    finally:
+        del rec  # rec refers to itself; break the cycle
 
 
 @lru_cache(maxsize=32)
@@ -227,10 +230,13 @@ def _orbit_representatives(vertices, edges, shape):
                 yield from rec(i + 1, new_pins, used_edges | {(p, q)})
 
     reps, seen = [], set()
-    for pins in rec(0, {}, frozenset()):
-        if pins not in seen:
-            reps.append(pins)
-            seen.update(tuple(sigma[p] for p in pins) for sigma in auts)
+    try:
+        for pins in rec(0, {}, frozenset()):
+            if pins not in seen:
+                reps.append(pins)
+                seen.update(tuple(sigma[p] for p in pins) for sigma in auts)
+    finally:
+        del rec  # rec refers to itself; break the cycle
     return tuple(reps)
 
 
@@ -416,7 +422,10 @@ def _place(host, edges, pattern_name, required, verts, nbr, order, must,
                     return found
         return None
 
-    return rec(0, (1 << len(verts)) - 1)
+    try:
+        return rec(0, (1 << len(verts)) - 1)
+    finally:
+        del rec  # rec refers to itself; break the cycle
 
 
 def find_family_minor(host, family, required=(), triangle=None,
@@ -427,10 +436,12 @@ def find_family_minor(host, family, required=(), triangle=None,
     kept edges necessarily form a pattern triangle.
     """
     if triangle is not None:
-        triple = tuple(sorted(triangle))
-        if triple not in host.triangles():
+        required = frozenset(triangle)
+        pairs = {host.endpoints(e) for e in required if host.has_edge(e)}
+        if (len(triangle) != 3 or len(pairs) != 3
+                or any(a == b for a, b in pairs)
+                or len({v for pair in pairs for v in pair}) != 3):
             raise GraphError("%r is not a triangle of the host" % (triangle,))
-        required = frozenset(triple)
     for name in family:
         model = find_minor(host, name, required=required, node_cap=node_cap)
         if model is not None:

@@ -28,7 +28,10 @@ class LabeledMultigraph:
             eid = int(eid)
             if eid in norm:
                 raise GraphError("duplicate edge id %r" % (eid,))
-            norm[eid] = (a, b) if a <= b else (b, a)
+            # an ordered tuple is kept, so a graph built from another's
+            # edges shares their pairs
+            norm[eid] = (pair if a <= b and type(pair) is tuple
+                         else (min(a, b), max(a, b)))
         self._edges = norm
 
     # -- basic accessors -------------------------------------------------
@@ -72,26 +75,6 @@ class LabeledMultigraph:
         """Sorted ids of edges incident to v (loops included once)."""
         return sorted(e for e, (a, b) in self._edges.items() if v == a or v == b)
 
-    def degree(self, v):
-        """Vertex degree; a loop contributes 2."""
-        d = 0
-        for a, b in self._edges.values():
-            if a == v:
-                d += 1
-            if b == v:
-                d += 1
-        return d
-
-    def neighbors(self, v):
-        """Sorted distinct neighbors of v (v itself only if a loop exists)."""
-        out = set()
-        for a, b in self._edges.values():
-            if a == v:
-                out.add(b)
-            elif b == v:
-                out.add(a)
-        return sorted(out)
-
     def multiplicity(self, u, v):
         """Number of parallel edges joining u and v (loops if u == v)."""
         key = (u, v) if u <= v else (v, u)
@@ -125,7 +108,9 @@ class LabeledMultigraph:
             raise GraphError("edge id %r already present" % (eid,))
         edges = dict(self._edges)
         edges[eid] = (a, b)
-        return LabeledMultigraph(self._vertices | {a, b}, edges)
+        vertices = self._vertices
+        return LabeledMultigraph(
+            vertices if {a, b} <= vertices else vertices | {a, b}, edges)
 
     def fresh_edge_id(self):
         return max(self._edges, default=0) + 1

@@ -1,16 +1,28 @@
-"""Isomorphism search: correctness of hits, misses, and returned bijections."""
+"""Canonical labelling and isomorphism: codes, hits, misses, and returned
+bijections."""
 import random
+from itertools import permutations, product
 
-from rootedminors import catalog
-from rootedminors.isomorphism import are_isomorphic, is_isomorphism
+from rootedminors import catalog, generate
+from rootedminors.isomorphism import (are_isomorphic, canonical_labeling,
+                                      is_isomorphism)
 from rootedminors.multigraph import LabeledMultigraph, complete_graph
 
 
 def _shuffled_copy(g, rng):
+    """g with its vertices renamed at random, into names from 0 to 99."""
     verts = g.sorted_vertices()
-    perm = dict(zip(verts, rng.sample(verts, len(verts))))
+    perm = dict(zip(verts, rng.sample(range(100), len(verts))))
     edges = {e: (perm[a], perm[b]) for e, (a, b) in g.edges.items()}
-    return LabeledMultigraph(verts, edges)
+    return LabeledMultigraph(perm.values(), edges)
+
+
+def _sample_graphs(rng):
+    """Catalog graphs and random multigraphs with loops and parallel edges."""
+    names = catalog.list_names()
+    graphs = [catalog.build(rng.choice(names)).graph for _ in range(100)]
+    return graphs + [generate.random_host(rng, max_edges=16)
+                     for _ in range(200)]
 
 
 def test_reflexive_on_every_catalog_graph():
@@ -23,9 +35,7 @@ def test_reflexive_on_every_catalog_graph():
 
 def test_symmetric_on_random_relabelings():
     rng = random.Random(7)
-    names = catalog.list_names()
-    for _ in range(100):
-        g = catalog.build(rng.choice(names)).graph
+    for g in _sample_graphs(rng):
         h = _shuffled_copy(g, rng)
         fwd = are_isomorphic(g, h)
         back = are_isomorphic(h, g)
@@ -84,3 +94,38 @@ def test_is_isomorphism_rejects_bad_maps():
     assert is_isomorphism(g, g, good)
     assert not is_isomorphism(g, g, {0: 0, 1: 1, 2: 2})
     assert not is_isomorphism(g, g, {0: 0, 1: 1, 2: 2, 3: 2})
+
+
+def test_code_survives_relabelling():
+    rng = random.Random(13)
+    for g in _sample_graphs(rng):
+        code, order = canonical_labeling(g)
+        assert sorted(order) == g.sorted_vertices()
+        for _ in range(3):
+            assert canonical_labeling(_shuffled_copy(g, rng))[0] == code
+
+
+def test_classes_of_six_vertices_get_distinct_codes():
+    graphs = generate.all_graphs(6)
+    assert len({canonical_labeling(g)[0] for g in graphs}) == len(graphs) == 156
+
+
+def test_codes_match_brute_force_on_large_multiplicities():
+    """Equal codes exactly when some vertex permutation carries one
+    multigraph onto the other, with multiplicities and loop counts large
+    enough to overflow any field of fixed width."""
+    pairs = ((0, 1), (0, 2), (1, 2))
+    codes, keys = [], []
+    for mult in product((0, 1, 2, 17), repeat=3):
+        for loops in product((0, 1, 16), repeat=3):
+            edges = [pair for pair, k in zip(pairs, mult) for _ in range(k)]
+            edges += [(v, v) for v in range(3) for _ in range(loops[v])]
+            g = LabeledMultigraph(range(3), dict(enumerate(edges)))
+            codes.append(canonical_labeling(g)[0])
+            keys.append(min(
+                (tuple(mult[pairs.index(tuple(sorted((p[a], p[b]))))]
+                       for a, b in pairs), tuple(loops[p[v]] for v in range(3)))
+                for p in permutations(range(3))))
+    for i in range(len(codes)):
+        for j in range(i):
+            assert (codes[i] == codes[j]) == (keys[i] == keys[j])

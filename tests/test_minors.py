@@ -1,4 +1,5 @@
 """Rooted minor search: models, verification, triangle preservation."""
+import gc
 import random
 from itertools import combinations, permutations, product
 
@@ -226,6 +227,40 @@ def test_triangle_mode_requires_a_triangle():
     g = catalog.build("K33_11").graph
     with pytest.raises(GraphError):
         find_family_minor(g, ("K33_11",), triangle=(1, 2, 3))
+
+
+def test_triangle_check_matches_the_triangle_list():
+    """find_family_minor accepts an edge triple as a triangle exactly when
+    host.triangles() lists it, parallels and loops included."""
+    rng = random.Random(5)
+    hosts = [generate.random_host(rng) for _ in range(300)]
+    hosts += [catalog.build(name).graph for name in catalog.list_names()]
+    for host in hosts:
+        listed = set(host.triangles())
+        for triple in combinations(host.edge_ids(), 3):
+            try:
+                find_family_minor(host, (), triangle=triple)
+                accepted = True
+            except GraphError:
+                accepted = False
+            assert accepted == (triple in listed), triple
+    e, f, g = catalog.build("K5").graph.triangles()[0]
+    for bad in ((e, e, f), (e, f), (e, f, g, e), (e, f, 999)):
+        with pytest.raises(GraphError):
+            find_family_minor(complete_graph(5), (), triangle=bad)
+
+
+def test_searches_leave_no_cyclic_garbage():
+    hosts = [g for g in generate.three_connected_by_wheels(7) if g.n == 7][:20]
+    gc.collect()
+    gc.disable()
+    try:
+        for host in hosts:
+            find_minor(host, "K5")
+            preserve_triangle_k331(host, host.triangles()[0])
+        assert gc.collect() < 100
+    finally:
+        gc.enable()
 
 
 def test_triangle_preservation_on_k33_11_itself():
