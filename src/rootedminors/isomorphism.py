@@ -1,24 +1,18 @@
 """Canonical labelling of multigraphs by individualisation and refinement.
 
-The search is nauty's (B. D. McKay and A. Piperno, *Practical graph
-isomorphism, II*, J. Symbolic Comput. 60, 2014), cut down to graphs with at
-most ~16 vertices.  Vertex sets are int masks, bit i for the i-th vertex in
-sorted order.  Layer k holds a row per vertex: bit j of row i is set when
-more than k edges join i and j (loops when j == i).  Two multigraphs are
-isomorphic exactly when their codes are equal; `is_isomorphism` checks a
-vertex bijection independently.
+nauty's search (B. D. McKay and A. Piperno, *Practical graph isomorphism,
+II*, J. Symbolic Comput. 60, 2014), cut down to graphs with at most ~16
+vertices.  Vertex i is bit i of an int mask, in sorted vertex order; bit j
+of row i in layer k is set when more than k edges join i and j.
 """
 from __future__ import annotations
 
 
 def _refine(layers, cells, pending):
-    """Split the ordered cells (int masks) until they are equitable.
-
-    A cell splits by its vertices' edge counts into a splitter cell, taken
-    from `pending` in partition order; the pieces take its place in order
-    of count, so no position depends on a label.  The pieces become
-    splitters, except the largest when the split cell has already served.
-    """
+    """Split the ordered cells (int masks) by their edge counts into a
+    splitter cell from `pending` until they are equitable.  Pieces go in
+    order of count, so no position depends on a label; they become
+    splitters, but for the largest when the split cell has served."""
     n = len(layers[0])
     while pending and len(cells) < n:
         w = next(c for c in cells if c in pending)
@@ -49,13 +43,10 @@ def _refine(layers, cells, pending):
 
 
 def _search(layers, cells, fixed, leaves, autos):
-    """Record in `leaves` (code -> vertex order) the leaves below this node.
-
-    Each vertex of the first smallest non-singleton cell is individualised
-    in turn.  A leaf's code is every layer's rows permuted to its order,
-    n bits each.  Two leaves with one code give an automorphism; a vertex
-    that one fixing `fixed` maps from a vertex tried is skipped.
-    """
+    """Record in `leaves` (code -> vertex order) every leaf below this node,
+    individualising each vertex of the first smallest non-singleton cell.
+    Two leaves with one code give an automorphism; a vertex that one fixing
+    `fixed` maps from a vertex tried is skipped."""
     target = 0
     for c in cells:
         if c & (c - 1) and (not target or c.bit_count() < target.bit_count()):
@@ -104,12 +95,11 @@ def _orbit(start, autos, fixed):
 
 
 def canonical_labeling(g):
-    """(code, vertex order): the code is an int equal for two multigraphs
+    """(code, vertex order): the int code is equal for two multigraphs
     exactly when they are isomorphic, and the order lists g's vertices by
-    canonical position.  Loop counts are the starting colours.  The code is
-    n + 1 ones and a zero, then the largest leaf code, so n and the number
-    of layers can be read back and no field can overflow.
-    """
+    canonical position.  Loop counts are the starting colours.  The code
+    is n + 1 ones and a zero, then the largest leaf's rows, so no field of
+    fixed width can overflow."""
     verts = g.sorted_vertices()
     n = len(verts)
     index = {v: i for i, v in enumerate(verts)}
@@ -138,8 +128,7 @@ def canonical_labeling(g):
 
 
 def are_isomorphic(g1, g2):
-    """Vertex bijection V(g1) -> V(g2) inducing an isomorphism, or None;
-    each vertex goes to the vertex of g2 at its canonical position."""
+    """A bijection V(g1) -> V(g2) inducing an isomorphism, or None."""
     if g1.n != g2.n or g1.m != g2.m:
         return None
     code1, order1 = canonical_labeling(g1)

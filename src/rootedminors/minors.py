@@ -130,33 +130,33 @@ def _connected_subsets(nbr, pool, must, max_size, budget):
     """
     if max_size <= 0 or must & ~pool or must.bit_count() > max_size:
         return
-
-    def rec(sub, reach, size, ext, seen, grow):
-        # ext lists the candidates in the order they were met; seen holds
-        # sub, ext and every candidate excluded above this node
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise SearchBudgetExceeded("minor search exceeded its node cap")
-        if sub & must == must:
-            yield sub, reach
-        if size >= max_size:
-            return
-        for i, v in enumerate(ext):
-            new = nbr[v] & grow & ~seen
-            yield from rec(sub | 1 << v, reach | nbr[v], size + 1,
-                           ext[i + 1:] + _bits(new), seen | new, grow)
-
     roots = must & -must if must else pool
-    try:
-        while roots:
-            low = roots & -roots
-            roots ^= low
-            grow = pool if must else pool & -low
-            r = low.bit_length() - 1
-            first = nbr[r] & grow
-            yield from rec(low, nbr[r], 1, _bits(first), low | first, grow)
-    finally:
-        del rec  # rec refers to itself; break the cycle
+    while roots:
+        low = roots & -roots
+        roots ^= low
+        grow = pool if must else pool & -low
+        r = low.bit_length() - 1
+        first = nbr[r] & grow
+        yield from _grow(nbr, must, max_size, budget, grow,
+                         low, nbr[r], 1, _bits(first), low | first)
+
+
+def _grow(nbr, must, max_size, budget, grow, sub, reach, size, ext, seen):
+    """The subsets below `sub` for _connected_subsets: ext lists the
+    candidates in the order they were met; seen holds sub, ext and every
+    candidate excluded above this node."""
+    budget[0] -= 1
+    if budget[0] < 0:
+        raise SearchBudgetExceeded("minor search exceeded its node cap")
+    if sub & must == must:
+        yield sub, reach
+    if size >= max_size:
+        return
+    for i, v in enumerate(ext):
+        new = nbr[v] & grow & ~seen
+        yield from _grow(nbr, must, max_size, budget, grow, sub | 1 << v,
+                         reach | nbr[v], size + 1, ext[i + 1:] + _bits(new),
+                         seen | new)
 
 
 @lru_cache(maxsize=32)
@@ -211,33 +211,33 @@ def _pin_assignments(required, host, pattern):
 def _orbit_representatives(vertices, edges, shape):
     """Slot -> pattern-vertex tuples, the first of each Aut(pattern) orbit."""
     auts = _automorphisms(vertices, edges)
-
-    def rec(i, pins, used_edges):
-        if i == len(shape):
-            yield tuple(pins.values())  # slots were inserted in order
-            return
-        x, y = shape[i]
-        if x == y:
-            return  # a loop can never be a kept pattern edge
-        for p, q in edges:
-            if (p, q) in used_edges:
-                continue
-            for px, py in ((p, q), (q, p)):
-                if pins.get(x, px) != px or pins.get(y, py) != py:
-                    continue
-                new_pins = dict(pins)
-                new_pins[x], new_pins[y] = px, py
-                yield from rec(i + 1, new_pins, used_edges | {(p, q)})
-
     reps, seen = [], set()
-    try:
-        for pins in rec(0, {}, frozenset()):
-            if pins not in seen:
-                reps.append(pins)
-                seen.update(tuple(sigma[p] for p in pins) for sigma in auts)
-    finally:
-        del rec  # rec refers to itself; break the cycle
+    for pins in _pin_tuples(edges, shape, 0, {}, frozenset()):
+        if pins not in seen:
+            reps.append(pins)
+            seen.update(tuple(sigma[p] for p in pins) for sigma in auts)
     return tuple(reps)
+
+
+def _pin_tuples(edges, shape, i, pins, used_edges):
+    """Every way to send the slot pairs shape[i:] onto pattern edges not in
+    `used_edges`, extending `pins` (slot -> pattern vertex)."""
+    if i == len(shape):
+        yield tuple(pins.values())  # slots were inserted in order
+        return
+    x, y = shape[i]
+    if x == y:
+        return  # a loop can never be a kept pattern edge
+    for p, q in edges:
+        if (p, q) in used_edges:
+            continue
+        for px, py in ((p, q), (q, p)):
+            if pins.get(x, px) != px or pins.get(y, py) != py:
+                continue
+            new_pins = dict(pins)
+            new_pins[x], new_pins[y] = px, py
+            yield from _pin_tuples(edges, shape, i + 1, new_pins,
+                                   used_edges | {(p, q)})
 
 
 @lru_cache(maxsize=None)
@@ -393,14 +393,15 @@ def _place(host, edges, pattern_name, required, verts, nbr, order, must,
     branch = [0] * n
     reach = [0] * n  # neighbourhood of each placed branch
 
-    def rec(i, available):
+    def fits(i, available):
+        """Position i's branch sets in search order, each as the vertices
+        it leaves free; at i == n, one empty step to the model."""
         budget[0] -= 1
         if budget[0] < 0:
             raise SearchBudgetExceeded("minor search exceeded its node cap")
         if i == n:
-            branches = {p: {verts[k] for k in _bits(b)}
-                        for p, b in zip(order, branch)}
-            return _build_model(host, edges, pattern_name, branches, required)
+            yield available
+            return
         pool = available & ~(all_pinned & ~must[i])
         f = floors[i]
         if f is not None:
@@ -417,15 +418,20 @@ def _place(host, edges, pattern_name, required, verts, nbr, order, must,
             # every placed branch must still reach one vertex per unplaced
             # pattern neighbour
             if all((reach[j] & rest).bit_count() >= k for j, k in frontiers):
-                found = rec(i + 1, rest)
-                if found is not None:
-                    return found
-        return None
+                yield rest
 
-    try:
-        return rec(0, (1 << len(verts)) - 1)
-    finally:
-        del rec  # rec refers to itself; break the cycle
+    stack = [fits(0, (1 << len(verts)) - 1)]  # one generator per position
+    while stack:
+        rest = next(stack[-1], None)
+        if rest is None:
+            stack.pop()
+        elif len(stack) <= n:
+            stack.append(fits(len(stack), rest))
+        else:
+            branches = {p: {verts[k] for k in _bits(b)}
+                        for p, b in zip(order, branch)}
+            return _build_model(host, edges, pattern_name, branches, required)
+    return None
 
 
 def find_family_minor(host, family, required=(), triangle=None,

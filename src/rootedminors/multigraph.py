@@ -28,10 +28,7 @@ class LabeledMultigraph:
             eid = int(eid)
             if eid in norm:
                 raise GraphError("duplicate edge id %r" % (eid,))
-            # an ordered tuple is kept, so a graph built from another's
-            # edges shares their pairs
-            norm[eid] = (pair if a <= b and type(pair) is tuple
-                         else (min(a, b), max(a, b)))
+            norm[eid] = (a, b) if a <= b else (b, a)
         self._edges = norm
 
     # -- basic accessors -------------------------------------------------
@@ -74,6 +71,26 @@ class LabeledMultigraph:
     def incident(self, v):
         """Sorted ids of edges incident to v (loops included once)."""
         return sorted(e for e, (a, b) in self._edges.items() if v == a or v == b)
+
+    def degree(self, v):
+        """Vertex degree; a loop contributes 2."""
+        d = 0
+        for a, b in self._edges.values():
+            if a == v:
+                d += 1
+            if b == v:
+                d += 1
+        return d
+
+    def neighbors(self, v):
+        """Sorted distinct neighbors of v (v itself only if a loop exists)."""
+        out = set()
+        for a, b in self._edges.values():
+            if a == v:
+                out.add(b)
+            elif b == v:
+                out.add(a)
+        return sorted(out)
 
     def multiplicity(self, u, v):
         """Number of parallel edges joining u and v (loops if u == v)."""

@@ -91,6 +91,7 @@ def test_random_nonplanar_hosts():
         assert is_three_connected(g)
         assert not is_planar(g)
         assert are_isomorphic(g, catalog.build("K5").graph) is None
+        assert g.n >= 6  # K5 is the only 3-connected non-planar 5-vertex graph
 
 
 def test_random_hosts_are_reproducible():

@@ -26,6 +26,9 @@ def test_basic_accessors():
     assert g.n == 3 and g.m == 3
     assert g.endpoints(1) == (0, 1)
     assert g.is_loop(3) and not g.is_loop(1)
+    assert g.degree(1) == 4  # loop counts twice
+    assert g.neighbors(1) == [0, 1, 2]  # the loop makes 1 its own neighbor
+    assert g.neighbors(0) == [1]
     assert g.multiplicity(0, 1) == 1
     assert not g.is_simple()
 
