@@ -395,7 +395,7 @@ def _place(host, edges, pattern_name, required, verts, nbr, order, must,
 
     def fits(i, available):
         """Position i's branch sets in search order, each as the vertices
-        it leaves free; at i == n, one empty step to the model."""
+        it leaves free; i == n yields once, so a model costs one node."""
         budget[0] -= 1
         if budget[0] < 0:
             raise SearchBudgetExceeded("minor search exceeded its node cap")
