@@ -93,8 +93,8 @@ def counterexamples():
     out = []
     for rec in records:
         host = io.from_graph6(rec["graph6"])
-        keeps = verification.triangle_minor_oracle(host, rec["triangle"],
-                                                   "K33_11")
+        tri = _triangle_edges(host, rec["triangle"])
+        keeps = verification.minor_oracle(host, "K33_11", required=tri)
         out.append((rec, host, keeps))
     return out
 
@@ -150,8 +150,8 @@ def test_committed_k33_11_triangle_counterexamples(counterexamples):
         assert tri in host.triangles(), rec
         assert preserve_triangle_k331(host, tri) is None, rec
         assert not keeps, rec
-        assert verification.triangle_minor_oracle(
-            host, rec["triangle"], "K33_13", class_triangle), rec
+        assert verification.minor_oracle(
+            host, "K33_13", required=tri, onto=class_triangle), rec
         model = preserve_triangle_k5(host, tri)
         assert model is not None, rec
         ok, diagnostics = verify_model(model)
@@ -164,10 +164,9 @@ def test_committed_k33_11_triangle_counterexamples(counterexamples):
 def test_triangle_oracle_agrees_with_search(name):
     host = catalog.build(name).graph
     for tri in host.triangles():
-        vertices = verification.triangle_vertices(host, tri)
         expected = preserve_triangle_k331(host, tri) is not None
-        assert verification.triangle_minor_oracle(
-            host, vertices, "K33_11") == expected, tri
+        assert verification.minor_oracle(
+            host, "K33_11", required=tri) == expected, tri
 
 
 def test_triangle_preservation_for_k5_target_exhaustive(triangle_report):
@@ -194,9 +193,12 @@ def test_r12_verification_suite():
         assert rec["rank"] == 5 and rec["elements"] == 10
 
 
-def test_search_decisions_match_brute_force_oracle():
+def test_search_decisions_match_minor_oracle():
     report = verification.oracle_equivalence(seed=0, cases=200)
     assert report["agree"] == 200, report["disagreements"]
+    assert report["overruns"] == []
+    positives = report["positives"]
+    assert (positives, 200 - positives) == (62, 138)
 
 
 def test_planarity_agrees_with_kuratowski_minors():
