@@ -3,17 +3,17 @@
 The exhaustive battery scans the 3-connected classes of a wheel-based
 closure generator.  Edge-addition enumeration gives every simple graph;
 filtered by is_three_connected it cross-checks the closure at small n, and
-a permutation-orbit count cross-checks it in turn.  Both run through one
-closure loop, which keeps a graph when its canonical code
-(isomorphism.canonical_labeling) has not been met before.
+the tests' permutation-orbit counts cross-check it in turn.  Both run
+through one closure loop, which keeps a graph when its canonical code
+(isomorphism.canonical_labeling) has not been met before, and grows one
+child per orbit of the automorphism group that the same labelling gives.
 Random host generators are driven by a caller-owned random.Random so runs
 are reproducible from a seed.
 """
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, permutations
-from math import factorial
+from itertools import combinations
 
 from . import catalog
 from .isomorphism import are_isomorphic, canonical_labeling
@@ -23,23 +23,34 @@ from .multigraph import (LabeledMultigraph, edge_additions,
 
 def _closure(seeds, grow):
     """One representative per isomorphism class reachable from `seeds`,
-    where grow(g) lists the graphs one step from g; classes come in the
-    order they are first met, the frontier is a stack.  A graph is new
-    when its canonical code has not been met: one labelling, one lookup.
+    where grow(g, autos) lists the graphs one step from g, one per orbit of
+    the automorphisms that `autos` generates; classes come in the order
+    they are first met, the frontier is a stack.  A graph is new when its
+    canonical code has not been met: one labelling, one lookup.
+
+    The labelling of a new class also gives generators of its group, and
+    they stay on the frontier with it until it is grown.  A child that an
+    automorphism of its parent maps from an earlier sibling is isomorphic
+    to that sibling, whose code is then already known; so growing only the
+    first child of each orbit meets the same representatives, in the same
+    order and with the same edge ids, with fewer labellings.
     """
     classes = {}  # canonical code -> the first graph met with it
 
-    def is_new(g):
-        return classes.setdefault(canonical_labeling(g)[0], g) is g
+    def new(graphs):
+        for g in graphs:
+            code, _, autos = canonical_labeling(g)
+            if classes.setdefault(code, g) is g:
+                yield g, autos
 
-    frontier = [g for g in seeds if is_new(g)]
+    frontier = list(new(seeds))
     while frontier:
-        frontier.extend(h for h in grow(frontier.pop()) if is_new(h))
+        frontier.extend(new(grow(*frontier.pop())))
     return list(classes.values())
 
 
-def _edge_additions(g):
-    return [h for h, _, _ in edge_additions(g)]
+def _edge_additions(g, autos):
+    return [h for h, _, _ in edge_additions(g, autos)]
 
 
 @lru_cache(maxsize=None)
@@ -54,61 +65,6 @@ def all_graphs(n):
     """
     return tuple(sorted(_closure([LabeledMultigraph(range(n))],
                                  _edge_additions), key=lambda g: g.m))
-
-
-def count_graphs_orbit(n):
-    """Number of isomorphism classes of simple graphs on n vertices.
-
-    Independent of all_graphs: averages 2^(pair-orbits) over all vertex
-    permutations (orbit counting), no graph construction involved.
-    """
-    pairs = list(combinations(range(n), 2))
-    index = {p: i for i, p in enumerate(pairs)}
-    total = 0
-    for perm in permutations(range(n)):
-        seen = [False] * len(pairs)
-        orbits = 0
-        for i, (a, b) in enumerate(pairs):
-            if seen[i]:
-                continue
-            orbits += 1
-            x, y = a, b
-            while True:
-                x, y = perm[x], perm[y]
-                j = index[(x, y) if x < y else (y, x)]
-                if seen[j]:
-                    break
-                seen[j] = True
-        total += 1 << orbits
-    return total // factorial(n)
-
-
-def count_graphs_masks(n):
-    """Class count by brute force over all edge subsets; n <= 6 only."""
-    pairs = list(combinations(range(n), 2))
-    index = {p: i for i, p in enumerate(pairs)}
-    perms = []
-    for perm in permutations(range(n)):
-        table = [0] * len(pairs)
-        for i, (a, b) in enumerate(pairs):
-            x, y = perm[a], perm[b]
-            table[i] = index[(x, y) if x < y else (y, x)]
-        perms.append(table)
-    seen = set()
-    count = 0
-    for mask in range(1 << len(pairs)):
-        if mask in seen:
-            continue
-        count += 1
-        for table in perms:
-            img = 0
-            rest = mask
-            while rest:
-                low = rest & -rest
-                img |= 1 << table[low.bit_length() - 1]
-                rest ^= low
-            seen.add(img)
-    return count
 
 
 def wheel(spokes):
@@ -129,10 +85,10 @@ def three_connected_by_wheels(max_n):
     exhaustive.  The tests match it against all_graphs filtered by
     is_three_connected at n <= 7.
     """
-    def grow(g):
-        out = _edge_additions(g)
+    def grow(g, autos):
+        out = _edge_additions(g, autos)
         if g.n < max_n:
-            out.extend(h for h, _ in three_connected_splits(g))
+            out.extend(h for h, _ in three_connected_splits(g, autos))
         return out
 
     return _closure([wheel(spokes) for spokes in range(3, max_n)], grow)

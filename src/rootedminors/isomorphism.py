@@ -4,6 +4,8 @@ nauty's search (B. D. McKay and A. Piperno, *Practical graph isomorphism,
 II*, J. Symbolic Comput. 60, 2014), cut down to graphs with at most ~16
 vertices.  Vertex i is bit i of an int mask, in sorted vertex order; bit j
 of row i in layer k is set when more than k edges join i and j.
+Two leaves with one code give an automorphism; as in nauty, those found
+generate Aut(g), and canonical_labeling returns them with the code.
 """
 from __future__ import annotations
 
@@ -73,7 +75,8 @@ def _search(layers, cells, fixed, leaves, autos):
         low = rest & -rest
         rest ^= low
         v = low.bit_length() - 1
-        if autos and tried and v in _orbit(tried, autos, fixed):
+        if autos and tried and v in _orbit(
+                tried, [p for p in autos if all(p[u] == u for u in fixed)]):
             continue
         tried.append(v)
         child = cells[:at] + [low, target ^ low] + cells[at + 1:]
@@ -81,25 +84,43 @@ def _search(layers, cells, fixed, leaves, autos):
                 autos)
 
 
-def _orbit(start, autos, fixed):
-    """The orbit of `start` under the automorphisms that fix `fixed`."""
-    gens = [p for p in autos if all(p[u] == u for u in fixed)]
-    orbit, stack = set(start), list(start)
+def _orbit(start, gens):
+    """The orbit of the items `start` under the group `gens` generates."""
+    found, stack = set(start), list(start)
     while stack:
-        u = stack.pop()
+        x = stack.pop()
         for p in gens:
-            if p[u] not in orbit:
-                orbit.add(p[u])
-                stack.append(p[u])
-    return orbit
+            y = _renamed(p, x)
+            if y not in found:
+                found.add(y)
+                stack.append(y)
+    return found
+
+
+def orbit_firsts(items, autos):
+    """The items, in order, that no earlier item maps onto under the group
+    that the vertex maps `autos` generate; an item is a vertex, or a tuple
+    or frozenset of items."""
+    seen, firsts = set(), []
+    for item in items:
+        if item not in seen:
+            firsts.append(item)
+            seen |= _orbit([item], autos)
+    return firsts
+
+
+def _renamed(p, item):
+    return p[item] if type(item) is int else type(item)(
+        _renamed(p, x) for x in item)
 
 
 def canonical_labeling(g):
-    """(code, vertex order): the int code is equal for two multigraphs
-    exactly when they are isomorphic, and the order lists g's vertices by
-    canonical position.  Loop counts are the starting colours.  The code
-    is n + 1 ones and a zero, then the largest leaf's rows, so no field of
-    fixed width can overflow."""
+    """(code, vertex order, generators): the int code is equal for two
+    multigraphs exactly when they are isomorphic, the order lists g's
+    vertices by canonical position, and the generators, dicts from vertex
+    to vertex, generate Aut(g) (none when it is trivial).  Loop counts are
+    the starting colours.  The code is n + 1 ones and a zero, then the
+    largest leaf's rows, so no field of fixed width can overflow."""
     verts = g.sorted_vertices()
     n = len(verts)
     index = {v: i for i, v in enumerate(verts)}
@@ -124,15 +145,16 @@ def canonical_labeling(g):
     _search(layers, _refine(layers, cells, set(cells)), [], leaves, autos)
     rows = max(leaves)
     return (((2 << n) - 1) << 1 + n * n * len(layers) | rows,
-            [verts[v] for v in leaves[rows]])
+            [verts[v] for v in leaves[rows]],
+            [{verts[u]: verts[v] for u, v in p.items()} for p in autos])
 
 
 def are_isomorphic(g1, g2):
     """A bijection V(g1) -> V(g2) inducing an isomorphism, or None."""
     if g1.n != g2.n or g1.m != g2.m:
         return None
-    code1, order1 = canonical_labeling(g1)
-    code2, order2 = canonical_labeling(g2)
+    code1, order1, _ = canonical_labeling(g1)
+    code2, order2, _ = canonical_labeling(g2)
     return dict(zip(order1, order2)) if code1 == code2 else None
 
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 
+from .isomorphism import orbit_firsts
+
 
 class GraphError(ValueError):
     """Raised for missing elements or malformed graph operations."""
@@ -28,7 +30,9 @@ class LabeledMultigraph:
             eid = int(eid)
             if eid in norm:
                 raise GraphError("duplicate edge id %r" % (eid,))
-            norm[eid] = (a, b) if a <= b else (b, a)
+            if a > b or type(pair) is not tuple:  # else share the tuple
+                pair = (a, b) if a <= b else (b, a)
+            norm[eid] = pair
         self._edges = norm
 
     # -- basic accessors -------------------------------------------------
@@ -259,42 +263,56 @@ class VertexSplit:
     new_edge_id: int
 
 
-def three_connected_splits(g):
+def three_connected_splits(g, autos=()):
     """Every simple 3-connected single-vertex split of g, as (graph, split).
 
     Only vertices of degree >= 4 qualify, since a part of one edge would
     leave a degree-2 end.  The smallest incident edge stays on the vertex,
     so each partition is produced once; vertices are taken in sorted order.
-    No isomorph dedup is done.
+    Given generators `autos` of Aut(g), g simple, only the first split of
+    each orbit is built: a split is named by its vertex and the two sets of
+    neighbours its parts reach, and an automorphism carrying one split to
+    another carries the first graph onto the second.
     """
-    out = []
+    eid = g.fresh_edge_id()
+    splits = {}
     for v in g.sorted_vertices():
         inc = g.incident(v)
         if len(inc) < 4:
             continue
         first, rest = inc[0], inc[1:]
-        for k in range(1, len(rest)):
+        for k in range(1, len(rest) - 1):
             for combo in combinations(rest, k):
-                part_b = tuple(e for e in rest if e not in combo)
-                if len(part_b) < 2:
-                    continue
-                split = VertexSplit(v, frozenset((first,) + combo),
-                                    frozenset(part_b), g.fresh_edge_id())
-                h = g.split_vertex(split)
-                if h.is_simple() and is_three_connected(h):
-                    out.append((h, split))
+                part_a = frozenset((first,) + combo)
+                split = VertexSplit(v, part_a, frozenset(rest) - part_a, eid)
+                splits[_split_key(g, split) if autos else split] = split
+    out = []
+    for key in orbit_firsts(splits, autos):
+        h = g.split_vertex(splits[key])
+        if h.is_simple() and is_three_connected(h):
+            out.append((h, splits[key]))
     return out
 
 
-def edge_additions(g):
+def _split_key(g, split):
+    """(v, {neighbours through each part}); g simple, so a + b - v is one."""
+    v = split.vertex
+    return v, frozenset(frozenset(sum(g.endpoints(e)) - v for e in part)
+                        for part in (split.part_a, split.part_b))
+
+
+def edge_additions(g, autos=()):
     """Every g + ab for a non-adjacent pair a < b, as (graph, new edge id,
     (a, b)); the new edge takes g.fresh_edge_id() and pairs come in sorted
-    order.  No isomorph dedup is done."""
+    order.  Given generators `autos` of Aut(g), only the first pair of each
+    orbit is added, since an automorphism carrying ab to cd carries g + ab
+    onto g + cd."""
     eid = g.fresh_edge_id()
     adj = g.adjacency()
+    pairs = [frozenset(pair) for pair in combinations(g.sorted_vertices(), 2)
+             if pair[1] not in adj[pair[0]]]
     return [(g.with_edge(eid, a, b), eid, (a, b))
-            for a, b in combinations(g.sorted_vertices(), 2)
-            if b not in adj[a]]
+            for a, b in map(sorted, orbit_firsts(pairs, autos))]
 
 
 def complete_graph(n):

@@ -14,6 +14,17 @@ def test_json_round_trip_preserves_ids():
     assert back == g
 
 
+def test_json_endpoints_come_back_ordered():
+    text = json.dumps({"vertices": [0, 1, 2], "edges": [
+        {"id": 1, "a": 2, "b": 0}, {"id": 2, "a": 1, "b": 2}]})
+    g = io.from_json(text)
+    assert g.edges == {1: (0, 2), 2: (1, 2)}
+    assert all(type(pair) is tuple for pair in g.edges.values())
+    assert json.loads(io.to_json(g))["edges"] == [
+        {"id": 1, "a": 0, "b": 2}, {"id": 2, "a": 1, "b": 2}]
+    assert io.from_json(io.to_json(g)) == g
+
+
 def test_json_output_is_deterministic():
     g = catalog.build("G3").graph
     assert io.to_json(g) == io.to_json(g)

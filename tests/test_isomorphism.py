@@ -99,7 +99,7 @@ def test_is_isomorphism_rejects_bad_maps():
 def test_code_survives_relabelling():
     rng = random.Random(13)
     for g in _sample_graphs(rng):
-        code, order = canonical_labeling(g)
+        code, order, _ = canonical_labeling(g)
         assert sorted(order) == g.sorted_vertices()
         for _ in range(3):
             assert canonical_labeling(_shuffled_copy(g, rng))[0] == code
@@ -129,3 +129,41 @@ def test_codes_match_brute_force_on_large_multiplicities():
     for i in range(len(codes)):
         for j in range(i):
             assert (codes[i] == codes[j]) == (keys[i] == keys[j])
+
+
+def _group_order(gens, verts):
+    """Order of the permutation group on `verts` that `gens` generate."""
+    identity = tuple(verts)
+    group, stack = {identity}, [identity]
+    while stack:
+        x = stack.pop()
+        for p in gens:
+            y = tuple(p[v] for v in x)
+            if y not in group:
+                group.add(y)
+                stack.append(y)
+    return len(group)
+
+
+def test_generators_generate_the_automorphism_group():
+    """On every class of 6 vertices, the generators are automorphisms and
+    the group they generate has the order that a brute force over all 720
+    permutations counts."""
+    for g in generate.all_graphs(6):
+        gens = canonical_labeling(g)[2]
+        assert all(is_isomorphism(g, g, p) for p in gens)
+        edges = {frozenset(pair) for pair in g.edges.values()}
+        order = sum(1 for perm in permutations(range(6))
+                    if {frozenset((perm[a], perm[b])) for a, b in edges}
+                    == edges)
+        assert _group_order(gens, range(6)) == order
+        assert (order == 1) == (not gens)
+
+
+def test_generators_are_automorphisms_of_multigraphs():
+    """Loops and parallel edges count, and the maps name g's own vertices."""
+    rng = random.Random(17)
+    for g in _sample_graphs(rng):
+        for h in (g, _shuffled_copy(g, rng)):
+            assert all(is_isomorphism(h, h, p)
+                       for p in canonical_labeling(h)[2])

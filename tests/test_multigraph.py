@@ -265,3 +265,14 @@ def test_edge_additions_with_parallel_edges_and_a_loop():
     _check_edge_additions(g)
     assert [pair for _, _, pair in edge_additions(g)] == [
         (0, 2), (0, 3), (0, 4), (1, 3), (1, 4), (2, 3), (2, 4)]
+
+
+def test_constructor_orders_pairs_and_keeps_ordered_tuples():
+    pair = (1, 3)
+    g = LabeledMultigraph(range(4), {1: pair, 2: (3, 0), 3: [2, 1], 4: [0, 2]})
+    assert g.edges == {1: (1, 3), 2: (0, 3), 3: (1, 2), 4: (0, 2)}
+    assert all(type(p) is tuple for p in g.edges.values())
+    assert g.endpoints(1) is pair
+    h = g.with_edge(5, 2, 3)
+    assert all(h.endpoints(e) is g.endpoints(e) for e in g.edges)
+    assert h.endpoints(5) == (2, 3)
