@@ -68,10 +68,6 @@ class LabeledMultigraph:
     def has_edge(self, e):
         return e in self._edges
 
-    def is_loop(self, e):
-        a, b = self.endpoints(e)
-        return a == b
-
     def incident(self, v):
         """Sorted ids of edges incident to v (loops included once)."""
         return sorted(e for e, (a, b) in self._edges.items() if v == a or v == b)

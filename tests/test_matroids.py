@@ -1,4 +1,6 @@
 """GF(2) matroids: minors, duality, isomorphism, and the R12/R10 facts."""
+import hashlib
+import json
 import random
 from itertools import combinations
 
@@ -330,6 +332,59 @@ def test_row_representation_agrees_with_columns():
         assert m.delete_many(()) is m, name
 
 
+def _preserves_every_rank(m1, m2, mapping):
+    """The definition: the bijection keeps the rank of every subset."""
+    return all(
+        _eliminated_rank(m1.columns[e] for e in subset)
+        == _eliminated_rank(m2.columns[mapping[e]] for e in subset)
+        for k in range(m1.size + 1)
+        for subset in combinations(m1.elements, k))
+
+
+def _shuffled_positions(m, rng):
+    """The same labelled matroid with its elements held in another order."""
+    order = rng.sample(m.elements, m.size)
+    return BinaryMatroid(order, _rows_of_columns(
+        [m.columns[e] for e in order], m.rank_value))
+
+
+def test_validation_agrees_with_rank_on_every_subset():
+    rng = random.Random(17)
+    small = [m for _, m in _circuit_cases() if m.size <= 8]
+    small += [_shuffled_positions(m, rng) for m in small]
+    answers = []
+    for a in small:
+        for b in small:
+            if a.size != b.size:
+                continue
+            maps = [{e: e for e in a.elements}]
+            maps += [dict(zip(a.elements, rng.sample(b.elements, b.size)))
+                     for _ in range(2)]
+            iso = matroid_isomorphic(a, b)
+            if iso is not None:
+                maps.append(iso.mapping)
+            for mapping in maps:
+                got = validate_matroid_iso(a, b, mapping)
+                assert got == _preserves_every_rank(a, b, mapping), mapping
+                answers.append((got, a.rank_value == b.rank_value))
+    assert {got for got, _ in answers} == {True, False}
+    assert (False, False) in answers  # pairs of different ranks were asked
+
+
+def test_validation_rejects_maps_that_are_not_label_bijections():
+    m = cycle_matroid(catalog.build("K33").graph)
+    assert validate_matroid_iso(m, m, {e: e for e in m.elements})
+    assert not validate_matroid_iso(m, m, {str(e): e for e in m.elements})
+    assert not validate_matroid_iso(m, m, {e: str(e) for e in m.elements})
+    assert not validate_matroid_iso(m, m, {e: e for e in m.elements[1:]})
+    assert not validate_matroid_iso(
+        m, m, {e: m.elements[0] for e in m.elements})
+    first, second = m.elements[:2]
+    onto_deletion = {e: e for e in m.elements}
+    onto_deletion[first] = second
+    assert not validate_matroid_iso(m, m.delete(first), onto_deletion)
+
+
 def test_circuits_match_brute_force():
     cases = _circuit_cases()
     assert any(m.rank_value == 0 for _, m in cases)
@@ -359,3 +414,14 @@ def test_minor_witnesses_are_unchanged():
     k33m = cycle_matroid(catalog.build("K33").graph)
     assert matroid_has_minor(r10(), k33m, required=(1, 2)) == (
         frozenset(), frozenset({3}))
+
+
+def test_every_r12_pair_witness_is_pinned():
+    """A digest of all 66 first hits of the pair-coverage claim, recorded
+    while isomorphisms were still validated by two tables of subset ranks."""
+    witnesses = verify_r12_claims()["pair_coverage"]["witnesses"]
+    assert len(witnesses) == 66
+    digest = hashlib.sha256(
+        json.dumps(witnesses, sort_keys=True).encode()).hexdigest()
+    assert digest == (
+        "765c6817b1089541be59a21276bdc5a5a95de82c661141e1c9f375ca7d9dc233")
