@@ -12,12 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
 
 import networkx as nx
 
 from . import catalog
-from .isomorphism import are_isomorphic, is_isomorphism
+from .isomorphism import are_isomorphic, canonical_labeling, is_isomorphism
 from .multigraph import GraphError, LabeledMultigraph, is_three_connected
 
 DEFAULT_NODE_CAP = 10_000_000
@@ -178,12 +177,21 @@ def _pattern_shape(pattern):
 
 @lru_cache(maxsize=None)
 def _automorphisms(vertices, edges):
-    """Aut(pattern) as vertex -> vertex dicts."""
-    pairs = {frozenset(e) for e in edges}
-    sigmas = (dict(zip(vertices, perm)) for perm in permutations(vertices))
-    return tuple(sigma for sigma in sigmas
-                 if all(frozenset((sigma[p], sigma[q])) in pairs
-                        for p, q in edges))
+    """Aut(pattern) as vertex -> vertex dicts, in lexicographic order of
+    their images: the group that the canonical labelling's generators for
+    the simple pattern graph generate."""
+    gens = canonical_labeling(LabeledMultigraph(vertices,
+                                                dict(enumerate(edges))))[2]
+    found = {vertices}
+    stack = [vertices]
+    while stack:
+        images = stack.pop()
+        for gen in gens:
+            moved = tuple(gen[p] for p in images)
+            if moved not in found:
+                found.add(moved)
+                stack.append(moved)
+    return tuple(dict(zip(vertices, images)) for images in sorted(found))
 
 
 def _pin_assignments(required, host, pattern):
@@ -287,6 +295,38 @@ def _placement_plan(edges, order):
     return earlier, checks
 
 
+@lru_cache(maxsize=None)
+def _forcing_plan(floors):
+    """Per placement position i, None or the floors to read before forcing.
+
+    Applies to a search with no pins on a connected host; the plan is used
+    by _place.  A later position j could take the smallest free vertex v
+    only if it has no floor, or if its floor is placed and has a smaller
+    smallest vertex than v.  So position i's entry is None when a later
+    position has no floor, and otherwise the placed floors (those before i)
+    of the later positions: when none of them lies below v, v must go to
+    position i.
+    """
+    plan = []
+    for i in range(len(floors)):
+        later = floors[i + 1:]
+        plan.append(None if None in later
+                    else tuple(sorted({f for f in later if f < i})))
+    return tuple(plan)
+
+
+def _connected(nbr):
+    """Whether the graph with neighbourhood masks nbr is connected."""
+    seen = frontier = 1
+    while frontier:
+        reach = 0
+        for v in _bits(frontier):
+            reach |= nbr[v]
+        frontier = reach & ~seen
+        seen |= frontier
+    return seen == (1 << len(nbr)) - 1
+
+
 def _build_model(host, edges, pattern_name, branches, required):
     """Assemble a MinorModel from a complete branch-set placement.
 
@@ -325,6 +365,12 @@ def find_minor(host, pattern, required=(), pattern_name="", node_cap=DEFAULT_NOD
     Exhaustive for hosts in the supported size range: returns None only when
     no model exists.  Deterministic: the same query always yields the same
     model.  `pattern` may be a catalog name or a graph.
+
+    With no required edges on a connected host, the search also forces the
+    smallest free vertex into a branch set wherever the symmetry floors
+    leave it no other place (see _place).  Such models may differ from
+    those of releases before the forcing; models with required edges,
+    and models on disconnected hosts, do not.
     """
     if isinstance(pattern, str):
         pattern_name = pattern
@@ -345,6 +391,7 @@ def find_minor(host, pattern, required=(), pattern_name="", node_cap=DEFAULT_NOD
             nbr[index[a]] |= 1 << index[b]
             nbr[index[b]] |= 1 << index[a]
     budget = [node_cap]
+    forcing = not required and _connected(nbr)
 
     for pins in _pin_assignments(required, host, pattern):
         pinned = {}
@@ -358,7 +405,7 @@ def find_minor(host, pattern, required=(), pattern_name="", node_cap=DEFAULT_NOD
             host, edges, pattern_name, required, verts, nbr, order,
             [pinned.get(p, 0) for p in order],
             _symmetry_floors(vertices, edges, order, frozenset(pinned)),
-            budget,
+            forcing, budget,
         )
         if model is not None:
             return model
@@ -366,7 +413,7 @@ def find_minor(host, pattern, required=(), pattern_name="", node_cap=DEFAULT_NOD
 
 
 def _place(host, edges, pattern_name, required, verts, nbr, order, must,
-           floors, budget):
+           floors, forcing, budget):
     """The first placement of branch sets in search order, as a model.
 
     Position i places order[i]'s branch set: a connected subset of the host
@@ -381,9 +428,19 @@ def _place(host, edges, pattern_name, required, verts, nbr, order, must,
     before f and takes at f a branch with a smaller smallest vertex, one
     the search would have found first.  So the floors change no answer and
     no model.
+
+    With `forcing` (no pins, connected host), position i's branch set must
+    also hold the smallest free vertex v wherever _forcing_plan leaves v no
+    other place.  Any model extends to one whose branch sets cover every
+    host vertex, as each free vertex can join a neighbouring branch, and an
+    automorphism moves that model onto the floors.  In such a model v is the
+    smallest vertex of some unplaced branch, and a branch whose floor is
+    unplaced, or placed with a larger smallest vertex, cannot start at v.
+    So forcing loses no answer, though the first model found may change.
     """
     n = len(order)
     earlier, checks = _placement_plan(edges, order)
+    plan = _forcing_plan(floors) if forcing else (None,) * n
     all_pinned = 0
     for m in must:
         all_pinned |= m
@@ -403,13 +460,18 @@ def _place(host, edges, pattern_name, required, verts, nbr, order, must,
             yield available
             return
         pool = available & ~(all_pinned & ~must[i])
+        needed = must[i]
+        if plan[i] is not None:
+            v = available & -available
+            if all(branch[f] & -branch[f] > v for f in plan[i]):
+                needed |= v
         f = floors[i]
         if f is not None:
             low = branch[f] & -branch[f]
             pool &= -(low << 1)  # only vertices above the floor's smallest
         max_size = available.bit_count() - need[i + 1]
         adjacent, frontiers = earlier[i], checks[i]
-        for sub, sub_reach in _connected_subsets(nbr, pool, must[i], max_size,
+        for sub, sub_reach in _connected_subsets(nbr, pool, needed, max_size,
                                                  budget):
             if any(not reach[j] & sub for j in adjacent):
                 continue

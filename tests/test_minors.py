@@ -6,6 +6,7 @@ from itertools import combinations, permutations, product
 import pytest
 
 from rootedminors import catalog, generate, minors, verification
+from rootedminors.isomorphism import is_isomorphism
 from rootedminors.minors import (
     FAMILY_A,
     MinorModel,
@@ -581,3 +582,73 @@ def test_symmetry_floors_return_the_unbroken_search_model(monkeypatch):
     flat = [m for models in with_floors for m in models]
     assert len(with_floors) == 157
     assert None in flat and any(m is not None for m in flat)
+
+
+def test_automorphisms_come_from_the_labelling_generators():
+    for name in catalog.list_names():
+        pattern = catalog.build(name).graph
+        vertices, edges, _ = minors._pattern_shape(pattern)
+        assert list(minors._automorphisms(vertices, edges)) \
+            == _automorphisms(pattern), name
+    # ten vertices: the brute force would try 10! maps
+    vertices, edges, _ = minors._pattern_shape(petersen())
+    auts = minors._automorphisms(vertices, edges)
+    assert len(auts) == len({tuple(s.values()) for s in auts}) == 120
+    assert all(is_isomorphism(petersen(), petersen(), s) for s in auts)
+
+
+def test_forcing_plan_on_the_floor_chains():
+    assert minors._forcing_plan((None, 0, 1, 2, 3)) == ((),) * 5
+    vertices, edges, order = minors._pattern_shape(
+        catalog.build("K33_11").graph)
+    floors = minors._symmetry_floors(vertices, edges, order, frozenset())
+    assert floors.count(None) == 3
+    assert minors._forcing_plan(floors)[:-1] == (None,) * 5
+    assert minors._forcing_plan(floors)[-1] == ()
+
+
+def _octahedron():
+    """K6 minus a perfect matching: planar, so it has no K5-minor."""
+    return LabeledMultigraph(range(6), dict(enumerate(
+        ((a, b) for a in range(6) for b in range(a + 1, 6) if b != a + 3),
+        start=1)))
+
+
+def test_forcing_cuts_the_octahedron_k5_search():
+    # the search without forcing needs 230 nodes to answer this "no"
+    assert find_minor(_octahedron(), "K5", node_cap=40) is None
+    with pytest.raises(SearchBudgetExceeded):
+        find_minor(_octahedron(), "K5", node_cap=30)
+
+
+def _k5_with_vertex_0_apart():
+    """K5 on vertices 1-5 with vertex 0 isolated, then in a triangle."""
+    k5 = list(combinations(range(1, 6), 2))
+    return [LabeledMultigraph(range(6), dict(enumerate(k5, 1))),
+            LabeledMultigraph(range(8), dict(enumerate(
+                k5 + [(0, 6), (6, 7), (0, 7)], 1)))]
+
+
+def test_forcing_is_off_on_disconnected_hosts(monkeypatch):
+    hosts = _k5_with_vertex_0_apart()
+    for host in hosts:
+        model = find_minor(host, "K5")
+        assert model is not None and verify_model(model)[0]
+    # forcing vertex 0 into the first branch set would answer "no"
+    monkeypatch.setattr(minors, "_connected", lambda nbr: True)
+    assert all(find_minor(host, "K5") is None for host in hosts)
+
+
+def test_unpinned_search_agrees_with_the_oracle_on_six_vertices():
+    graphs = generate.all_graphs(6)
+    assert len(graphs) == 156
+    positives = 0
+    for g in graphs:
+        for name in ("K5", "K33", "K33_11"):
+            model = find_minor(g, name)
+            assert (model is not None) == verification.minor_oracle(g, name), \
+                (g.edges, name)
+            if model is not None:
+                assert verify_model(model)[0]
+                positives += 1
+    assert positives == 26
