@@ -297,15 +297,13 @@ def _placement_plan(edges, order):
 
 @lru_cache(maxsize=None)
 def _forcing_plan(floors):
-    """Per placement position i, None or the floors to read before forcing.
+    """Per placement position i, None or the floors _place reads to force.
 
-    Applies to a search with no pins on a connected host; the plan is used
-    by _place.  A later position j could take the smallest free vertex v
-    only if it has no floor, or if its floor is placed and has a smaller
-    smallest vertex than v.  So position i's entry is None when a later
-    position has no floor, and otherwise the placed floors (those before i)
-    of the later positions: when none of them lies below v, v must go to
-    position i.
+    A later position can start at the smallest free vertex v only if it has
+    no floor, or its floor is placed and starts below v.  So the entry is
+    None when a later position has no floor, and otherwise the later
+    positions' floors placed before i: when none starts below v, v must go
+    to position i.
     """
     plan = []
     for i in range(len(floors)):
