@@ -75,7 +75,7 @@ def _search(layers, cells, fixed, leaves, autos):
         low = rest & -rest
         rest ^= low
         v = low.bit_length() - 1
-        if autos and tried and v in _orbit(
+        if autos and tried and v in orbit(
                 tried, [p for p in autos if all(p[u] == u for u in fixed)]):
             continue
         tried.append(v)
@@ -84,7 +84,7 @@ def _search(layers, cells, fixed, leaves, autos):
                 autos)
 
 
-def _orbit(start, gens):
+def orbit(start, gens):
     """The orbit of the items `start` under the group `gens` generates."""
     found, stack = set(start), list(start)
     while stack:
@@ -105,7 +105,7 @@ def orbit_firsts(items, autos):
     for item in items:
         if item not in seen:
             firsts.append(item)
-            seen |= _orbit([item], autos)
+            seen |= orbit([item], autos)
     return firsts
 
 

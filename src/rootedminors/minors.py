@@ -7,6 +7,11 @@ outside C and D and map to pattern edges.  When the three edges of a host
 triangle are all required, the keep-semantics force their images to form a
 pattern triangle, which is the restriction condition triangle preservation
 needs.
+
+Patterns are simple and have no isolated vertices.  The search works on the
+host's neighbour masks and connectivity walk from multigraph, and takes the
+pattern's symmetry from the canonical labelling's generators, closed into
+orbits by isomorphism.orbit and orbit_firsts.
 """
 from __future__ import annotations
 
@@ -16,8 +21,10 @@ from functools import lru_cache
 import networkx as nx
 
 from . import catalog
-from .isomorphism import are_isomorphic, canonical_labeling, is_isomorphism
-from .multigraph import GraphError, LabeledMultigraph, is_three_connected
+from .isomorphism import (are_isomorphic, canonical_labeling, is_isomorphism,
+                          orbit, orbit_firsts)
+from .multigraph import (GraphError, LabeledMultigraph, bits, connected,
+                         is_three_connected, neighbour_masks)
 
 DEFAULT_NODE_CAP = 10_000_000
 
@@ -105,16 +112,6 @@ def verify_model(model, pattern=None):
     return True, []
 
 
-def _bits(mask):
-    """Indices of the set bits of `mask`, in increasing order."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 def _connected_subsets(nbr, pool, must, max_size, budget):
     """Connected subsets of `pool` that contain `must`, up to max_size vertices.
 
@@ -137,7 +134,7 @@ def _connected_subsets(nbr, pool, must, max_size, budget):
         r = low.bit_length() - 1
         first = nbr[r] & grow
         yield from _grow(nbr, must, max_size, budget, grow,
-                         low, nbr[r], 1, _bits(first), low | first)
+                         low, nbr[r], 1, bits(first), low | first)
 
 
 def _grow(nbr, must, max_size, budget, grow, sub, reach, size, ext, seen):
@@ -154,44 +151,46 @@ def _grow(nbr, must, max_size, budget, grow, sub, reach, size, ext, seen):
     for i, v in enumerate(ext):
         new = nbr[v] & grow & ~seen
         yield from _grow(nbr, must, max_size, budget, grow, sub | 1 << v,
-                         reach | nbr[v], size + 1, ext[i + 1:] + _bits(new),
+                         reach | nbr[v], size + 1, ext[i + 1:] + bits(new),
                          seen | new)
 
 
 @lru_cache(maxsize=32)
 def _pattern_shape(pattern):
-    """(sorted vertices, simple edges, unpinned placement order) of a pattern.
+    """(sorted vertices, edges, unpinned placement order) of a pattern.
 
-    Built once per pattern graph; the order puts larger degree first.
+    Built once per pattern graph; the order puts larger degree first.  The
+    search places one branch set per vertex and keeps one host edge per
+    edge, so a pattern with a loop, a parallel edge or an isolated vertex
+    raises GraphError: no model it could return would verify.
     """
+    if not pattern.is_simple():
+        raise GraphError("pattern must have no loops or parallel edges")
     vertices = tuple(pattern.sorted_vertices())
-    edges = tuple(sorted({(min(a, b), max(a, b))
-                          for a, b in pattern.edges.values() if a != b}))
+    edges = tuple(sorted(pattern.edges.values()))
     degree = dict.fromkeys(vertices, 0)
     for p, q in edges:
         degree[p] += 1
         degree[q] += 1
+    if 0 in degree.values():
+        raise GraphError("pattern must have no isolated vertices")
     return vertices, edges, tuple(sorted(vertices,
                                          key=lambda p: (-degree[p], p)))
+
+
+def _generators(vertices, edges):
+    """The canonical labelling's generators of Aut(pattern)."""
+    return canonical_labeling(LabeledMultigraph(vertices,
+                                                dict(enumerate(edges))))[2]
 
 
 @lru_cache(maxsize=None)
 def _automorphisms(vertices, edges):
     """Aut(pattern) as vertex -> vertex dicts, in lexicographic order of
-    their images: the group that the canonical labelling's generators for
-    the simple pattern graph generate."""
-    gens = canonical_labeling(LabeledMultigraph(vertices,
-                                                dict(enumerate(edges))))[2]
-    found = {vertices}
-    stack = [vertices]
-    while stack:
-        images = stack.pop()
-        for gen in gens:
-            moved = tuple(gen[p] for p in images)
-            if moved not in found:
-                found.add(moved)
-                stack.append(moved)
-    return tuple(dict(zip(vertices, images)) for images in sorted(found))
+    their images: the orbit of the identity arrangement under the
+    generators."""
+    images = orbit([vertices], _generators(vertices, edges))
+    return tuple(dict(zip(vertices, moved)) for moved in sorted(images))
 
 
 def _pin_assignments(required, host, pattern):
@@ -218,13 +217,8 @@ def _pin_assignments(required, host, pattern):
 @lru_cache(maxsize=None)
 def _orbit_representatives(vertices, edges, shape):
     """Slot -> pattern-vertex tuples, the first of each Aut(pattern) orbit."""
-    auts = _automorphisms(vertices, edges)
-    reps, seen = [], set()
-    for pins in _pin_tuples(edges, shape, 0, {}, frozenset()):
-        if pins not in seen:
-            reps.append(pins)
-            seen.update(tuple(sigma[p] for p in pins) for sigma in auts)
-    return tuple(reps)
+    return tuple(orbit_firsts(_pin_tuples(edges, shape, 0, {}, frozenset()),
+                              _generators(vertices, edges)))
 
 
 def _pin_tuples(edges, shape, i, pins, used_edges):
@@ -266,9 +260,8 @@ def _symmetry_floors(vertices, edges, order, pinned):
     pos = {p: i for i, p in enumerate(order)}
     floors = [None] * len(order)
     for i, b in enumerate(order):
-        for s in group:
-            if s[b] != b:
-                floors[pos[s[b]]] = i
+        for q in orbit([b], group) - {b}:
+            floors[pos[q]] = i
         group = [s for s in group if s[b] == b]
     return tuple(floors)
 
@@ -313,18 +306,6 @@ def _forcing_plan(floors):
     return tuple(plan)
 
 
-def _connected(nbr):
-    """Whether the graph with neighbourhood masks nbr is connected."""
-    seen = frontier = 1
-    while frontier:
-        reach = 0
-        for v in _bits(frontier):
-            reach |= nbr[v]
-        frontier = reach & ~seen
-        seen |= frontier
-    return seen == (1 << len(nbr)) - 1
-
-
 def _build_model(host, edges, pattern_name, branches, required):
     """Assemble a MinorModel from a complete branch-set placement.
 
@@ -357,12 +338,13 @@ def _build_model(host, edges, pattern_name, branches, required):
     return MinorModel(host, contracted, deleted, pattern_name, iso)
 
 
-def find_minor(host, pattern, required=(), pattern_name="", node_cap=DEFAULT_NODE_CAP):
+def find_minor(host, pattern, required=(), node_cap=DEFAULT_NODE_CAP):
     """Search for a minor model of `pattern` in `host` keeping `required`.
 
     Exhaustive for hosts in the supported size range: returns None only when
     no model exists.  Deterministic: the same query always yields the same
-    model.  `pattern` may be a catalog name or a graph.
+    model.  `pattern` may be a catalog name or a graph; a graph with a
+    loop, a parallel edge or an isolated vertex raises GraphError.
 
     With no required edges on a connected host, the search also forces the
     smallest free vertex into a branch set wherever the symmetry floors
@@ -370,9 +352,10 @@ def find_minor(host, pattern, required=(), pattern_name="", node_cap=DEFAULT_NOD
     those of releases before the forcing; models with required edges,
     and models on disconnected hosts, do not.
     """
+    pattern_name = ""
     if isinstance(pattern, str):
-        pattern_name = pattern
-        pattern = catalog.build(pattern_name).graph
+        pattern_name, pattern = pattern, catalog.build(pattern).graph
+    vertices, edges, unpinned_order = _pattern_shape(pattern)
     required = frozenset(required)
     for e in required:
         if not host.has_edge(e):
@@ -380,16 +363,10 @@ def find_minor(host, pattern, required=(), pattern_name="", node_cap=DEFAULT_NOD
     if host.n < pattern.n or host.m < pattern.m:
         return None
 
-    vertices, edges, unpinned_order = _pattern_shape(pattern)
-    verts = host.sorted_vertices()
+    verts, nbr = neighbour_masks(host)
     index = {v: i for i, v in enumerate(verts)}
-    nbr = [0] * len(verts)
-    for a, b in host.edges.values():
-        if a != b:
-            nbr[index[a]] |= 1 << index[b]
-            nbr[index[b]] |= 1 << index[a]
     budget = [node_cap]
-    forcing = not required and _connected(nbr)
+    forcing = not required and connected(nbr, (1 << len(nbr)) - 1)
 
     for pins in _pin_assignments(required, host, pattern):
         pinned = {}
@@ -488,7 +465,7 @@ def _place(host, edges, pattern_name, required, verts, nbr, order, must,
         elif len(stack) <= n:
             stack.append(fits(len(stack), rest))
         else:
-            branches = {p: {verts[k] for k in _bits(b)}
+            branches = {p: {verts[k] for k in bits(b)}
                         for p, b in zip(order, branch)}
             return _build_model(host, edges, pattern_name, branches, required)
     return None

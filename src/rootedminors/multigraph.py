@@ -4,6 +4,12 @@ Vertices are integers.  Edges are integers mapped to unordered endpoint
 pairs; loops and parallel edges are allowed.  Edge ids are stable: deletion
 and contraction never rename a surviving edge.  All operations return new
 graphs; instances are never mutated after construction.
+
+Connectivity works on int masks: neighbour_masks gives one neighbour mask
+per vertex, bit i standing for the i-th vertex in sorted order, and the one
+walk, connected, decides whether a vertex mask induces a connected graph.
+is_connected, vertex_connectivity, is_three_connected and the minor search
+all read these two.
 """
 from __future__ import annotations
 
@@ -154,21 +160,13 @@ class LabeledMultigraph:
         return {e: (merge.get(a, a), merge.get(b, b))
                 for e, (a, b) in self._edges.items() if e not in drop}
 
-    def delete_edge(self, e):
-        if e not in self._edges:
-            raise GraphError("missing edge %r" % (e,))
-        edges = dict(self._edges)
-        del edges[e]
-        return LabeledMultigraph(self._vertices, edges)
-
-    def simplify(self, prefer=()):
+    def simplify(self):
         """Remove loops and all but one edge per parallel class.
 
-        The representative of each class is the smallest edge id, except that
-        any edge listed in `prefer` wins its class.  Returns (graph, kept)
-        where kept maps every non-loop edge id to its class representative.
+        The representative of each class is its smallest edge id.  Returns
+        (graph, kept) where kept maps every non-loop edge id to its class
+        representative.
         """
-        prefer = set(prefer)
         classes = {}
         for eid, (a, b) in sorted(self._edges.items()):
             if a == b:
@@ -177,8 +175,7 @@ class LabeledMultigraph:
         kept = {}
         edges = {}
         for pair, ids in classes.items():
-            chosen = [e for e in ids if e in prefer]
-            rep = min(chosen) if chosen else min(ids)
+            rep = min(ids)
             edges[rep] = pair
             for e in ids:
                 kept[e] = rep
@@ -326,47 +323,64 @@ def cycle_graph(n):
     return LabeledMultigraph(range(n), edges)
 
 
+def bits(mask):
+    """Indices of the set bits of `mask`, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def neighbour_masks(g):
+    """(sorted vertices, masks): bit j of masks[i] is set when the i-th and
+    j-th vertices are adjacent; loops and parallel edges add nothing."""
+    verts = g.sorted_vertices()
+    index = {v: i for i, v in enumerate(verts)}
+    nbr = [0] * len(verts)
+    for a, b in g.edges.values():
+        if a != b:
+            nbr[index[a]] |= 1 << index[b]
+            nbr[index[b]] |= 1 << index[a]
+    return verts, nbr
+
+
+def connected(nbr, alive):
+    """Whether the vertices in the mask `alive` induce a connected graph
+    under the neighbour masks nbr; no vertex at all counts as connected."""
+    seen = stack = alive & -alive
+    while stack:
+        low = stack & -stack
+        stack ^= low
+        new = nbr[low.bit_length() - 1] & alive & ~seen
+        seen |= new
+        stack |= new
+    return seen == alive
+
+
 def is_connected(g):
-    if g.n == 0:
-        return True
-    return _connected_after_removal(g.adjacency(), g.sorted_vertices(), ())
+    _, nbr = neighbour_masks(g)
+    return connected(nbr, (1 << len(nbr)) - 1)
 
 
 def vertex_connectivity(g):
     """Minimum vertex-cut size; K_n yields n-1, disconnected graphs 0.
 
     The smallest k for which removing some k vertices disconnects the rest.
-    The graph is simplified first, so loops and parallel edges are ignored.
+    Loops and parallel edges are ignored.
     """
-    sg, _ = g.simplify()
-    adj = sg.adjacency()
-    order = sg.sorted_vertices()
-    for k in range(sg.n - 1):
-        if _has_cut(adj, order, k):
-            return k
-    return max(sg.n - 1, 0)
+    _, nbr = neighbour_masks(g)
+    n = len(nbr)
+    return next((k for k in range(n - 1) if _has_cut(nbr, k)), max(n - 1, 0))
 
 
-def _has_cut(adj, order, k):
-    """True iff removing some k of the vertices disconnects the rest."""
-    for cut in combinations(order, k):
-        if not _connected_after_removal(adj, order, set(cut)):
-            return True
-    return False
-
-
-def _connected_after_removal(adj, vertices, removed):
-    remaining = [v for v in vertices if v not in removed]
-    if not remaining:
-        return False
-    comp = {remaining[0]}
-    stack = [remaining[0]]
-    while stack:
-        for u in adj[stack.pop()]:
-            if u not in removed and u not in comp:
-                comp.add(u)
-                stack.append(u)
-    return len(comp) == len(remaining)
+def _has_cut(nbr, k):
+    """True iff removing some k of the vertices, k < len(nbr), disconnects
+    the rest; a cut's bits are distinct, so their sum is their union."""
+    full = (1 << len(nbr)) - 1
+    return any(not connected(nbr, full ^ sum(cut)) for cut in
+               combinations([1 << i for i in range(len(nbr))], k))
 
 
 def is_three_connected(g):
@@ -374,11 +388,7 @@ def is_three_connected(g):
 
     Checked by direct enumeration of cut sets of size 0, 1 and 2.
     """
-    sg, _ = g.simplify()
-    if sg.n < 4:
+    _, nbr = neighbour_masks(g)
+    if len(nbr) < 4 or any(mask.bit_count() < 3 for mask in nbr):
         return False
-    adj = sg.adjacency()
-    order = sg.sorted_vertices()
-    if any(len(adj[v]) < 3 for v in order):
-        return False
-    return not any(_has_cut(adj, order, k) for k in range(3))
+    return not any(_has_cut(nbr, k) for k in range(3))

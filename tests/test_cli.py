@@ -5,6 +5,7 @@ import pytest
 
 from rootedminors import catalog, io
 from rootedminors.cli import FAIL, INCONCLUSIVE, PASS, USAGE, dispatch
+from rootedminors.multigraph import complete_graph
 
 
 def _run(capsys, *argv):
@@ -323,6 +324,19 @@ def test_required_parallel_pair_answers_no(tmp_path, capsys):
     code, _ = _run(capsys, "minor", "find", "--host", str(host),
                    "--pattern", "K5", "--require", "1")
     assert code == PASS
+
+
+def test_pattern_with_a_parallel_edge_is_usage_error(tmp_path, capsys):
+    host = tmp_path / "k5.json"
+    host.write_text(io.to_json(catalog.build("K5").graph))
+    k4 = complete_graph(4)
+    pattern = tmp_path / "k4-parallel.json"
+    pattern.write_text(io.to_json(k4.with_edge(7, *k4.endpoints(1))))
+    cert = tmp_path / "c.json"
+    err = _usage_error(capsys, ["minor", "find", "--host", str(host),
+                                "--pattern", str(pattern),
+                                "--certificate", str(cert)])
+    assert "parallel" in err and not cert.exists()
 
 
 def test_host_file_that_is_not_utf8(tmp_path, capsys):

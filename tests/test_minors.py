@@ -184,13 +184,30 @@ def test_node_cap_is_enforced():
 def test_search_agrees_with_brute_force(host_name, pattern_name, required):
     host = catalog.build(host_name).graph
     pattern = catalog.build(pattern_name).graph
-    fast = find_minor(host, pattern, required=required,
-                      pattern_name=pattern_name)
+    fast = find_minor(host, pattern, required=required)
     slow = verification.minor_oracle(host, pattern, required=required)
     assert (fast is not None) == slow
     if fast is not None:
         ok, diag = verify_model(fast, pattern)
         assert ok, diag
+
+
+def _k4_with(vertices, extra):
+    return LabeledMultigraph(vertices, {
+        **dict(enumerate(combinations(range(4), 2), 1)), **extra})
+
+
+@pytest.mark.parametrize("pattern", [
+    _k4_with(range(4), {7: (0, 1)}),
+    _k4_with(range(4), {7: (2, 2)}),
+    _k4_with(range(5), {}),
+], ids=["parallel-edge", "loop", "isolated-vertex"])
+def test_pattern_the_search_cannot_certify_is_rejected(pattern):
+    # the search would place K4 and return a model that fails verify_model
+    with pytest.raises(GraphError):
+        find_minor(complete_graph(5), pattern)
+    with pytest.raises(GraphError):
+        find_minor(complete_graph(3), pattern)  # too small a host as well
 
 
 def test_family_search_prefers_smaller_patterns():
@@ -635,7 +652,7 @@ def test_forcing_is_off_on_disconnected_hosts(monkeypatch):
         model = find_minor(host, "K5")
         assert model is not None and verify_model(model)[0]
     # forcing vertex 0 into the first branch set would answer "no"
-    monkeypatch.setattr(minors, "_connected", lambda nbr: True)
+    monkeypatch.setattr(minors, "connected", lambda nbr, alive: True)
     assert all(find_minor(host, "K5") is None for host in hosts)
 
 
