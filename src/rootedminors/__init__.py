@@ -11,7 +11,6 @@ from .isomorphism import are_isomorphic, is_isomorphism
 from .matroids import (
     BinaryMatroid,
     MatroidError,
-    MatroidIso,
     cycle_matroid,
     matroid_has_minor,
     matroid_isomorphic,
@@ -65,7 +64,6 @@ __all__ = [
     "GraphError",
     "LabeledMultigraph",
     "MatroidError",
-    "MatroidIso",
     "MinorModel",
     "RoundednessReport",
     "SearchBudgetExceeded",

@@ -9,13 +9,13 @@ elements.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
 from types import MappingProxyType
 
 from . import catalog
-from .multigraph import LabeledMultigraph
+from .isomorphism import canonical_labeling
+from .multigraph import LabeledMultigraph, bits
 
 
 class MatroidError(ValueError):
@@ -173,11 +173,6 @@ class BinaryMatroid:
                 groups.setdefault(c, []).append(e)
         return [sorted(v) for v in groups.values()]
 
-    def is_simple(self):
-        if any(self.columns[e] == 0 for e in self.elements):
-            return False
-        return all(len(cls) == 1 for cls in self.parallel_classes())
-
     def simplify(self):
         """Drop loops (zero columns) and all but the smallest label per class."""
         keep = {min(cls) for cls in self.parallel_classes()}
@@ -188,13 +183,15 @@ class BinaryMatroid:
 
         Computed once per matroid; each call returns a fresh list.
         """
-        return list(self._circuits)
+        out = [frozenset(self.elements[j] for j in bits(c))
+               for c in sorted(self._circuits)]
+        return sorted(out, key=lambda c: (len(c), sorted(map(str, c))))
 
     @cached_property
     def _circuits(self):
-        """The cycles (element sets whose columns sum to zero) are the GF(2)
-        span of the fundamental circuits; the circuits are the minimal
-        non-empty cycles."""
+        """The circuits as position masks, smallest first.  The cycles
+        (element sets whose columns sum to zero) are the GF(2) span of the
+        fundamental circuits; the circuits are the minimal non-empty cycles."""
         fundamental = self._fundamental_circuits
         cycles = [0] * (1 << len(fundamental))
         for k in range(1, len(cycles)):
@@ -204,11 +201,25 @@ class BinaryMatroid:
         for c in sorted(cycles[1:], key=int.bit_count):
             if not any(d & c == d for d in minimal):
                 minimal.append(c)
-        out = [
-            frozenset(e for j, e in enumerate(self.elements) if (c >> j) & 1)
-            for c in sorted(minimal)
-        ]
-        return tuple(sorted(out, key=lambda c: (len(c), sorted(map(str, c)))))
+        return tuple(minimal)
+
+    def _labelling(self, loops):
+        """(code, vertex order) of the element-circuit incidence graph:
+        vertex j is the j-th element, with loops.get(j, 1) loops, and vertex
+        size + i is the i-th circuit, joined to its elements.  A matroid is
+        determined by its circuits (Whitney), so two matroids are isomorphic
+        exactly when their codes are equal."""
+        n = self.size
+        ends = [(j, j) for j in range(n) for _ in range(loops.get(j, 1))]
+        ends += [(j, n + i) for i, c in enumerate(self._circuits)
+                 for j in bits(c)]
+        g = LabeledMultigraph(range(n + len(self._circuits)),
+                              dict(enumerate(ends)))
+        return canonical_labeling(g)[:2]
+
+    @cached_property
+    def _unpinned_labelling(self):
+        return self._labelling({})
 
     def __repr__(self):
         return "BinaryMatroid(rank=%d, elements=%r)" % (
@@ -226,21 +237,6 @@ def cycle_matroid(g):
             rows[a] |= 1 << j
             rows[b] |= 1 << j
     return BinaryMatroid(elements, rows.values())
-
-
-@dataclass(frozen=True)
-class MatroidIso:
-    mapping: dict
-
-    def to_json_dict(self):
-        return {"mapping": {str(k): v for k, v in self.mapping.items()}}
-
-
-def _circuit_profiles(m, circuits):
-    prof = {}
-    for e in m.elements:
-        prof[e] = tuple(sorted(len(c) for c in circuits if e in c))
-    return prof
 
 
 def validate_matroid_iso(m1, m2, mapping):
@@ -261,57 +257,34 @@ def validate_matroid_iso(m1, m2, mapping):
 
 
 def matroid_isomorphic(m1, m2, pin=None):
-    """Element bijection preserving rank everywhere, or None.
+    """A label bijection carrying m1 onto m2 that keeps `pin`, or None.
 
-    `pin` fixes required images.  Search is over label bijections pruned by
-    circuit-size profiles; the winner is confirmed by `validate_matroid_iso`,
-    one row reduction.
+    The two element-circuit incidence graphs get one canonical labelling
+    each, the k-th pinned pair's elements marked with 2 + k loops on both
+    sides; the map zips the two vertex orders on the element vertices and
+    is confirmed by `validate_matroid_iso`, one row reduction.
     """
-    if m1.size != m2.size or m1.rank_value != m2.rank_value:
+    pin = pin or {}
+    for e, f in pin.items():
+        if e not in m1.elements or f not in m2.elements:
+            raise MatroidError("pin %r -> %r leaves the ground sets" % (e, f))
+    if (m1.size != m2.size or m1.rank_value != m2.rank_value
+            or [c.bit_count() for c in m1._circuits]
+            != [c.bit_count() for c in m2._circuits]):
         return None
-    c1 = m1.circuits()
-    c2 = m2.circuits()
-    if sorted(map(len, c1)) != sorted(map(len, c2)):
+    if pin:
+        code1, order1 = m1._labelling(
+            {m1.elements.index(e): 2 + k for k, e in enumerate(pin)})
+        code2, order2 = m2._labelling(
+            {m2.elements.index(f): 2 + k for k, f in enumerate(pin.values())})
+    else:
+        code1, order1 = m1._unpinned_labelling
+        code2, order2 = m2._unpinned_labelling
+    if code1 != code2:
         return None
-    prof1 = _circuit_profiles(m1, c1)
-    prof2 = _circuit_profiles(m2, c2)
-    if sorted(prof1.values()) != sorted(prof2.values()):
-        return None
-    pin = dict(pin or {})
-    circuit_set2 = set(c2)
-    by_elem1 = {e: [c for c in c1 if e in c] for e in m1.elements}
-
-    order = sorted(
-        m1.elements,
-        key=lambda e: (e not in pin,
-                       sum(1 for f in m2.elements if prof2[f] == prof1[e]),
-                       str(e)),
-    )
-    mapping = {}
-    used = set()
-
-    def extend(i):
-        if i == len(order):
-            return True
-        e = order[i]
-        for f in [pin[e]] if e in pin else m2.elements:
-            if f in used or prof2[f] != prof1[e]:
-                continue
-            mapping[e] = f
-            used.add(f)
-            ok = all(frozenset(mapping[x] for x in c) in circuit_set2
-                     for c in by_elem1[e] if all(x in mapping for x in c))
-            if ok and extend(i + 1):
-                return True
-            del mapping[e]
-            used.discard(f)
-        return False
-
-    if not extend(0):
-        return None
-    if not validate_matroid_iso(m1, m2, mapping):
-        return None
-    return MatroidIso(dict(mapping))
+    mapping = {m1.elements[a]: m2.elements[b]
+               for a, b in zip(order1, order2) if a < m1.size}
+    return mapping if validate_matroid_iso(m1, m2, mapping) else None
 
 
 def matroid_has_minor(m, target, required=()):
@@ -431,7 +404,7 @@ def _r12_claims():
     iso = matroid_isomorphic(m, m.dual(), pin={1: 7})
     report["self_dual_1_to_7"] = {
         "pass": iso is not None,
-        "map": iso.to_json_dict()["mapping"] if iso else None,
+        "map": {str(k): v for k, v in iso.items()} if iso else None,
     }
 
     # (3) the automorphism orbit of element 1 is {1,2,5,6,9,10}; contracting

@@ -98,11 +98,13 @@ def apply_model(host, contracted, deleted):
 def verify_model(model, pattern=None):
     """Re-derive the minor and check the stored isomorphism edge-by-edge.
 
-    Returns (ok, diagnostics); nothing in the model is trusted.
+    Returns (ok, diagnostics); nothing in the model is trusted.  Without
+    `pattern`, the model's catalog name gives it, and a model of a graph
+    pattern (whose name is empty) is rejected.
     """
-    if pattern is None:
-        pattern = catalog.build(model.pattern_name).graph
     try:
+        if pattern is None:
+            pattern = catalog.build(model.pattern_name).graph
         result = apply_model(model.host, model.contracted, model.deleted)
     except GraphError as exc:
         return False, [str(exc)]

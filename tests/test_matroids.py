@@ -2,7 +2,7 @@
 import hashlib
 import json
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -25,13 +25,13 @@ def test_r12_shape():
     m = r12()
     assert m.rank_value == 6 and m.size == 12
     assert m.elements == tuple(range(1, 13))
-    assert m.is_simple()
+    assert m.simplify().size == m.size
 
 
 def test_r10_shape():
     m = r10()
     assert m.rank_value == 5 and m.size == 10
-    assert m.is_simple()
+    assert m.simplify().size == m.size
 
 
 def test_cycle_matroid_ranks():
@@ -131,6 +131,13 @@ def test_matroid_iso_respects_pins():
     m = r12()
     assert matroid_isomorphic(m, m, pin={1: 6}) is not None
     assert matroid_isomorphic(m, m, pin={1: 7}) is None
+
+
+def test_pins_outside_the_ground_sets_are_rejected():
+    m = r12()
+    for pin in ({99: 1}, {1: 99}):
+        with pytest.raises(MatroidError):
+            matroid_isomorphic(m, m, pin=pin)
 
 
 def test_wheel_duals_are_graphic():
@@ -241,7 +248,7 @@ def test_r12_automorphism_orbits():
               if matroid_isomorphic(m, m, pin={1: x}) is not None]
     assert orbit1 == [1, 2, 5, 6, 9, 10]
     c7 = m.contract(7)
-    assert c7.is_simple() and c7.size == 11
+    assert c7.simplify().size == c7.size == 11
     for g in generate.all_graphs(6):
         if g.m == 11:
             assert matroid_isomorphic(c7, cycle_matroid(g)) is None
@@ -362,13 +369,41 @@ def test_validation_agrees_with_rank_on_every_subset():
                      for _ in range(2)]
             iso = matroid_isomorphic(a, b)
             if iso is not None:
-                maps.append(iso.mapping)
+                maps.append(iso)
             for mapping in maps:
                 got = validate_matroid_iso(a, b, mapping)
                 assert got == _preserves_every_rank(a, b, mapping), mapping
                 answers.append((got, a.rank_value == b.rank_value))
     assert {got for got, _ in answers} == {True, False}
     assert (False, False) in answers  # pairs of different ranks were asked
+
+
+def test_isomorphism_agrees_with_every_label_bijection():
+    """The verdict, unpinned and with one pin, is the brute force's: some
+    bijection of labels keeps every rank (and the pin)."""
+    rng = random.Random(23)
+    small = [m for _, m in _circuit_cases() if m.size <= 6]
+    small += [_shuffled_positions(m, rng) for m in small]
+    verdicts = set()
+    for a in small:
+        for b in small:
+            if a.size != b.size:
+                continue
+            isos = []
+            for image in permutations(b.elements):
+                mapping = dict(zip(a.elements, image))
+                if _preserves_every_rank(a, b, mapping):
+                    isos.append(mapping)
+            pins = [{}] + [{a.elements[0]: f} for f in b.elements[:a.size]]
+            for pin in pins:
+                want = [iso for iso in isos
+                        if all(iso[e] == f for e, f in pin.items())]
+                got = matroid_isomorphic(a, b, pin=pin)
+                assert (got is not None) == bool(want), (a, b, pin)
+                assert got is None or got in want, (a, b, pin)
+                verdicts.add((bool(pin), bool(want)))
+    assert verdicts == {(False, False), (False, True),
+                        (True, False), (True, True)}
 
 
 def test_validation_rejects_maps_that_are_not_label_bijections():
@@ -388,7 +423,8 @@ def test_validation_rejects_maps_that_are_not_label_bijections():
 def test_circuits_match_brute_force():
     cases = _circuit_cases()
     assert any(m.rank_value == 0 for _, m in cases)
-    assert any(not m.is_simple() and m.rank_value > 0 for _, m in cases)
+    assert any(m.simplify().size != m.size and m.rank_value > 0
+               for _, m in cases)
     for name, m in cases:
         circuits = m.circuits()
         assert sorted(circuits, key=sorted) == sorted(

@@ -167,6 +167,15 @@ def test_verify_model_rejects_tampering():
     assert not ok and diag
 
 
+def test_verify_model_of_a_graph_pattern_needs_the_pattern():
+    pattern = complete_graph(4)
+    model = find_minor(complete_graph(5), pattern)
+    assert model is not None and model.pattern_name == ""
+    ok, diag = verify_model(model)
+    assert not ok and diag
+    assert verify_model(model, pattern) == (True, [])
+
+
 def test_node_cap_is_enforced():
     with pytest.raises(SearchBudgetExceeded):
         find_minor(petersen(), "K5", node_cap=1)
