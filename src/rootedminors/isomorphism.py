@@ -1,9 +1,11 @@
 """Canonical labelling of multigraphs by individualisation and refinement.
 
 nauty's search (B. D. McKay and A. Piperno, *Practical graph isomorphism,
-II*, J. Symbolic Comput. 60, 2014), cut down to graphs with at most ~16
-vertices.  Vertex i is bit i of an int mask, in sorted vertex order; bit j
-of row i in layer k is set when more than k edges join i and j.
+II*, J. Symbolic Comput. 60, 2014), cut down to small graphs: hosts and
+patterns of up to about 12 vertices, and the element-circuit incidence
+graphs of binary matroids (59 vertices for R12).  Vertex i is bit i of an
+int mask, in sorted vertex order; bit j of row i in layer k is set when
+more than k edges join i and j.
 Two leaves with one code give an automorphism; as in nauty, those found
 generate Aut(g), and canonical_labeling returns them with the code.
 """

@@ -131,11 +131,7 @@ def test_matroid_iso_respects_pins():
     m = r12()
     assert matroid_isomorphic(m, m, pin={1: 6}) is not None
     assert matroid_isomorphic(m, m, pin={1: 7}) is None
-
-
-def test_pins_outside_the_ground_sets_are_rejected():
-    m = r12()
-    for pin in ({99: 1}, {1: 99}):
+    for pin in ({99: 1}, {1: 99}):  # labels outside the ground sets
         with pytest.raises(MatroidError):
             matroid_isomorphic(m, m, pin=pin)
 
@@ -394,7 +390,7 @@ def test_isomorphism_agrees_with_every_label_bijection():
                 mapping = dict(zip(a.elements, image))
                 if _preserves_every_rank(a, b, mapping):
                     isos.append(mapping)
-            pins = [{}] + [{a.elements[0]: f} for f in b.elements[:a.size]]
+            pins = [{}] + [{a.elements[0]: f} for f in b.elements]
             for pin in pins:
                 want = [iso for iso in isos
                         if all(iso[e] == f for e, f in pin.items())]
