@@ -14,7 +14,7 @@ from itertools import combinations
 from types import MappingProxyType
 
 from . import catalog
-from .isomorphism import canonical_labeling
+from .isomorphism import canonical_labeling, orbit
 from .multigraph import LabeledMultigraph, bits
 
 
@@ -78,7 +78,12 @@ class BinaryMatroid:
             if any(type(bit) is not int or bit not in (0, 1) for bit in row):
                 raise MatroidError("row entries must be 0 or 1")
             masks.append(sum(bit << j for j, bit in enumerate(row)))
-        return cls(elements, masks)
+        matroid = cls(elements, masks)
+        try:
+            sorted(elements)
+        except TypeError:
+            raise MatroidError("element labels must be comparable") from None
+        return matroid
 
     @property
     def size(self):
@@ -203,23 +208,27 @@ class BinaryMatroid:
                 minimal.append(c)
         return tuple(minimal)
 
-    def _labelling(self, loops):
-        """(code, vertex order) of the element-circuit incidence graph:
-        vertex j is the j-th element, with loops.get(j, 1) loops, and vertex
+    @cached_property
+    def _labelling(self):
+        """(code, vertex order, generators) of the element-circuit incidence
+        graph: vertex j is the j-th element, with one loop, and vertex
         size + i is the i-th circuit, joined to its elements.  A matroid is
         determined by its circuits (Whitney), so two matroids are isomorphic
-        exactly when their codes are equal."""
+        exactly when their codes are equal.  An automorphism of the graph
+        keeps the looped vertices among themselves, so the generators, read
+        on the element vertices, generate Aut(M)."""
         n = self.size
-        ends = [(j, j) for j in range(n) for _ in range(loops.get(j, 1))]
+        ends = [(j, j) for j in range(n)]
         ends += [(j, n + i) for i, c in enumerate(self._circuits)
                  for j in bits(c)]
-        g = LabeledMultigraph(range(n + len(self._circuits)),
-                              dict(enumerate(ends)))
-        return canonical_labeling(g)[:2]
+        return canonical_labeling(LabeledMultigraph(
+            range(n + len(self._circuits)), dict(enumerate(ends))))
 
-    @cached_property
-    def _unpinned_labelling(self):
-        return self._labelling({})
+    def automorphism_generators(self):
+        """Label maps that generate Aut(M): the labelling's generators on
+        the element vertices."""
+        return [{e: self.elements[p[j]] for j, e in enumerate(self.elements)}
+                for p in self._labelling[2]]
 
     def __repr__(self):
         return "BinaryMatroid(rank=%d, elements=%r)" % (
@@ -256,30 +265,19 @@ def validate_matroid_iso(m1, m2, mapping):
     return tuple(_rref(_take(r, order) for r in m1._rows)) == m2._rows
 
 
-def matroid_isomorphic(m1, m2, pin=None):
-    """A label bijection carrying m1 onto m2 that keeps `pin`, or None.
+def matroid_isomorphic(m1, m2):
+    """A label bijection carrying m1 onto m2, or None.
 
     The two element-circuit incidence graphs get one canonical labelling
-    each, the k-th pinned pair's elements marked with 2 + k loops on both
-    sides; the map zips the two vertex orders on the element vertices and
+    each; the map zips the two vertex orders on the element vertices and
     is confirmed by `validate_matroid_iso`, one row reduction.
     """
-    pin = pin or {}
-    for e, f in pin.items():
-        if e not in m1.elements or f not in m2.elements:
-            raise MatroidError("pin %r -> %r leaves the ground sets" % (e, f))
     if (m1.size != m2.size or m1.rank_value != m2.rank_value
             or [c.bit_count() for c in m1._circuits]
             != [c.bit_count() for c in m2._circuits]):
         return None
-    if pin:
-        code1, order1 = m1._labelling(
-            {m1.elements.index(e): 2 + k for k, e in enumerate(pin)})
-        code2, order2 = m2._labelling(
-            {m2.elements.index(f): 2 + k for k, f in enumerate(pin.values())})
-    else:
-        code1, order1 = m1._unpinned_labelling
-        code2, order2 = m2._unpinned_labelling
+    code1, order1, _ = m1._labelling
+    code2, order2, _ = m2._labelling
     if code1 != code2:
         return None
     mapping = {m1.elements[a]: m2.elements[b]
@@ -400,10 +398,18 @@ def _r12_claims():
         "pass": ok, "map": {str(k): v for k, v in rev.items()},
     }
 
-    # (2) self-dual, with an isomorphism to the dual sending 1 to 7
-    iso = matroid_isomorphic(m, m.dual(), pin={1: 7})
+    # (2) self-dual, with an isomorphism to the dual sending 1 to 7: phi onto
+    # the dual after the alpha in Aut(R12) with phi(alpha(1)) = 7; the group
+    # is the orbit of the identity arrangement under the generators
+    gens = m.automorphism_generators()
+    dual = m.dual()
+    phi = matroid_isomorphic(m, dual)
+    group = [dict(zip(m.elements, moved))
+             for moved in sorted(orbit([m.elements], gens))]
+    iso = next(({e: phi[a[e]] for e in a} for a in group
+                if phi and phi[a[1]] == 7), None)
     report["self_dual_1_to_7"] = {
-        "pass": iso is not None,
+        "pass": iso is not None and validate_matroid_iso(m, dual, iso),
         "map": {str(k): v for k, v in iso.items()} if iso else None,
     }
 
@@ -412,11 +418,10 @@ def _r12_claims():
     # of the one-added-edge K3,3 extension.  The other orbit's contractions
     # are simple, 11-element and non-graphic, so only this orbit feeds the
     # pair-coverage argument through a graphic minor.
-    orbit = [x for x in m.elements
-             if matroid_isomorphic(m, m, pin={1: x}) is not None]
+    orbit_of_1 = sorted(orbit([1], gens))
     target = cycle_matroid(catalog.build("K33_01").graph)
     si_results = {}
-    for x in orbit:
+    for x in orbit_of_1:
         si = m.contract(x).simplify()
         iso = matroid_isomorphic(si, target)
         si_results[str(x)] = {
@@ -426,14 +431,14 @@ def _r12_claims():
         }
     report["si_contractions_graphic"] = {
         "pass": (
-            sorted(orbit) == [1, 2, 5, 6, 9, 10]
+            orbit_of_1 == [1, 2, 5, 6, 9, 10]
             and all(
                 r["rank"] == 5 and r["elements"] == 10
                 and r["isomorphic_to_target"] for r in si_results.values()
             )
         ),
         "target": "M(K33_01)",
-        "orbit_of_1": sorted(orbit),
+        "orbit_of_1": orbit_of_1,
         "per_element": si_results,
     }
 

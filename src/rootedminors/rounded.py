@@ -15,8 +15,8 @@ from .io import to_json_dict
 from .isomorphism import are_isomorphic
 from .minors import (DEFAULT_NODE_CAP, FAMILY_A, FAMILY_B,
                      SearchBudgetExceeded, find_family_minor)
-from .multigraph import (VertexSplit, edge_additions, is_three_connected,
-                         three_connected_splits)
+from .multigraph import (GraphError, VertexSplit, edge_additions,
+                         is_three_connected, three_connected_splits)
 
 
 @dataclass(frozen=True)
@@ -120,6 +120,9 @@ def verify_two_rounded(family, node_cap=DEFAULT_NODE_CAP):
     """Check the 2-rounded criterion for a family of catalog names; a query
     that hits the node cap is an overrun, and the others are still decided."""
     family = tuple(family)
+    if not family or len(set(family)) != len(family):
+        raise GraphError("a family needs at least one member, each listed "
+                         "once; got %r" % (family,))
     candidates = []
     for name in family:
         candidates.extend(enumerate_extensions(name))

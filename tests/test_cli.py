@@ -276,8 +276,9 @@ def test_matroid_file_without_elements(tmp_path, capsys):
     {"rows": [[1, 0]], "elements": [1, [2]]},
     {"rows": [1.5], "elements": [1]},
     {"rows": [6], "elements": [1, 2]},
+    {"rows": [[1, 1, 0, 0], [0, 0, 1, 1]], "elements": [1, "a", 3, "b"]},
 ], ids=["rows-not-a-list", "elements-not-a-list", "unhashable-label",
-        "row-not-a-list", "row-as-bitmask"])
+        "row-not-a-list", "row-as-bitmask", "mixed-labels"])
 def test_malformed_matroid_file(tmp_path, capsys, data):
     mfile = tmp_path / "m.json"
     mfile.write_text(json.dumps(data))
@@ -296,8 +297,9 @@ def test_certificate_without_iso(tmp_path, capsys):
     assert "iso" in err
 
 
-@pytest.mark.parametrize("text", ['["K33"', '[["K33"]]'],
-                         ids=["invalid-json", "entry-not-a-name"])
+@pytest.mark.parametrize(
+    "text", ['["K33"', '[["K33"]]', '[]', '["K33_11", "K33_11"]'],
+    ids=["invalid-json", "entry-not-a-name", "empty", "repeated-member"])
 def test_malformed_family_file(tmp_path, capsys, text):
     fam = tmp_path / "family.json"
     fam.write_text(text)

@@ -7,6 +7,7 @@ from itertools import combinations, permutations
 import pytest
 
 from rootedminors import catalog, generate, matroids
+from rootedminors.isomorphism import orbit
 from rootedminors.matroids import (
     BinaryMatroid,
     MatroidError,
@@ -127,13 +128,16 @@ def test_matroid_iso_rejects_different_ranks():
     assert matroid_isomorphic(k5, k33) is None
 
 
-def test_matroid_iso_respects_pins():
+def test_r12_self_dual_map_sends_1_to_7():
+    """No automorphism of R12 sends 1 to 7, though one sends 1 to 6, so
+    the report's 1 -> 7 map is an isomorphism onto the dual composed with
+    an automorphism."""
     m = r12()
-    assert matroid_isomorphic(m, m, pin={1: 6}) is not None
-    assert matroid_isomorphic(m, m, pin={1: 7}) is None
-    for pin in ({99: 1}, {1: 99}):  # labels outside the ground sets
-        with pytest.raises(MatroidError):
-            matroid_isomorphic(m, m, pin=pin)
+    reach = orbit([1], m.automorphism_generators())
+    assert 6 in reach and 7 not in reach
+    report = verify_r12_claims()["self_dual_1_to_7"]
+    iso = {int(k): v for k, v in report["map"].items()}
+    assert iso[1] == 7 and validate_matroid_iso(m, m.dual(), iso)
 
 
 def test_wheel_duals_are_graphic():
@@ -188,6 +192,7 @@ def test_from_rows_validates():
         ([[1, 0]], [1, [2]]),
         ([1.5], [1]),
         ([6], [1, 2]),
+        ([[1, 0]], [1, "a"]),
     ]:
         with pytest.raises(MatroidError):
             BinaryMatroid.from_rows(rows, elements)
@@ -235,14 +240,23 @@ def test_r12_claims_all_pass():
 
 
 def test_r12_automorphism_orbits():
-    """The ground set splits into two orbits of six; contracting an element
-    of the first gives (after simplification) the cycle matroid of the
-    one-added-edge K3,3 extension, while contracting an element of the
-    second gives a simple 11-element matroid that is not graphic."""
+    """Aut(R12) has 24 elements and splits the ground set into two orbits of
+    six; contracting an element of the first gives (after simplification)
+    the cycle matroid of the one-added-edge K3,3 extension, while
+    contracting an element of the second gives a simple 11-element matroid
+    that is not graphic."""
     m = r12()
-    orbit1 = [x for x in m.elements
-              if matroid_isomorphic(m, m, pin={1: x}) is not None]
+    gens = m.automorphism_generators()
+    group = [dict(zip(m.elements, a)) for a in orbit([m.elements], gens)]
+    assert len(group) == 24
+    assert all(validate_matroid_iso(m, m, a) for a in group)
+    orbit1 = sorted(orbit([1], gens))
     assert orbit1 == [1, 2, 5, 6, 9, 10]
+    # the orbit is complete: an automorphism keeps the size of si(R12/x),
+    # and that size is 10 exactly on the orbit found
+    sizes = {x: m.contract(x).simplify().size for x in m.elements}
+    assert [x for x in m.elements if sizes[x] == 10] == orbit1
+    assert all(sizes[x] == 11 for x in m.elements if x not in orbit1)
     c7 = m.contract(7)
     assert c7.simplify().size == c7.size == 11
     for g in generate.all_graphs(6):
@@ -375,12 +389,13 @@ def test_validation_agrees_with_rank_on_every_subset():
 
 
 def test_isomorphism_agrees_with_every_label_bijection():
-    """The verdict, unpinned and with one pin, is the brute force's: some
-    bijection of labels keeps every rank (and the pin)."""
+    """The verdict is the brute force's: some bijection of labels keeps
+    every rank.  The generators give each element the brute force's orbit
+    and generate a group of the brute force's size."""
     rng = random.Random(23)
     small = [m for _, m in _circuit_cases() if m.size <= 6]
     small += [_shuffled_positions(m, rng) for m in small]
-    verdicts = set()
+    verdicts, group_sizes = set(), set()
     for a in small:
         for b in small:
             if a.size != b.size:
@@ -390,16 +405,37 @@ def test_isomorphism_agrees_with_every_label_bijection():
                 mapping = dict(zip(a.elements, image))
                 if _preserves_every_rank(a, b, mapping):
                     isos.append(mapping)
-            pins = [{}] + [{a.elements[0]: f} for f in b.elements]
-            for pin in pins:
-                want = [iso for iso in isos
-                        if all(iso[e] == f for e, f in pin.items())]
-                got = matroid_isomorphic(a, b, pin=pin)
-                assert (got is not None) == bool(want), (a, b, pin)
-                assert got is None or got in want, (a, b, pin)
-                verdicts.add((bool(pin), bool(want)))
-    assert verdicts == {(False, False), (False, True),
-                        (True, False), (True, True)}
+            got = matroid_isomorphic(a, b)
+            assert (got is not None) == bool(isos), (a, b)
+            assert got is None or got in isos, (a, b)
+            verdicts.add(bool(isos))
+            if b is a:
+                autos = isos
+        gens = a.automorphism_generators()
+        assert all(p in autos for p in gens), a
+        for e in a.elements:
+            assert orbit([e], gens) == {p[e] for p in autos}, (a, e)
+        group = orbit([a.elements], gens)
+        assert len(group) == len(autos), a
+        group_sizes.add(len(group))
+    assert verdicts == {False, True}
+    assert 1 in group_sizes and max(group_sizes) > 2
+
+
+def test_r12_claims_label_r12_and_its_dual_once_each(monkeypatch):
+    """The orbit of 1 and the map onto the dual both come from R12's one
+    labelling, so only R12 and R12* label 59-vertex incidence graphs."""
+    sizes = []
+    real = matroids.canonical_labeling
+
+    def counted(g):
+        sizes.append(g.n)
+        return real(g)
+
+    monkeypatch.setattr(matroids, "canonical_labeling", counted)
+    matroids._r12_claims.cache_clear()
+    assert all(v["pass"] for v in verify_r12_claims().values())
+    assert sizes.count(59) == 2
 
 
 def test_validation_rejects_maps_that_are_not_label_bijections():
