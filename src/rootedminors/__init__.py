@@ -39,10 +39,7 @@ from .multigraph import (
     LabeledMultigraph,
     VertexSplit,
     complete_graph,
-    cycle_graph,
-    is_connected,
     is_three_connected,
-    vertex_connectivity,
 )
 from .rounded import (
     Candidate,
@@ -72,7 +69,6 @@ __all__ = [
     "are_isomorphic",
     "build",
     "complete_graph",
-    "cycle_graph",
     "cycle_matroid",
     "enumerate_coextensions",
     "enumerate_extensions",
@@ -80,7 +76,6 @@ __all__ = [
     "find_minor",
     "from_graph6",
     "from_json",
-    "is_connected",
     "is_isomorphism",
     "is_planar",
     "is_three_connected",
@@ -99,5 +94,4 @@ __all__ = [
     "verify_model",
     "verify_r12_claims",
     "verify_two_rounded",
-    "vertex_connectivity",
 ]

@@ -9,24 +9,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from . import catalog, io, matroids, minors, rounded, verification
 from .matroids import MatroidError
 from .multigraph import GraphError
 
 PASS, FAIL, USAGE, INCONCLUSIVE = 0, 1, 2, 3
-
-
-@dataclass
-class RunConfig:
-    node_cap: int = minors.DEFAULT_NODE_CAP
-    seed: int = 0
-    output: str | None = None
-
-    def __post_init__(self):
-        if self.node_cap <= 0:
-            raise ValueError("node cap must be positive")
 
 
 def _read_json(path, error, kind=dict, keys=()):
@@ -45,32 +33,11 @@ def _read_json(path, error, kind=dict, keys=()):
     return data
 
 
-_CONFIG_KEYS = {"search-node-cap": ("node_cap", int), "seed": ("seed", int),
-                "output-path": ("output", str)}
-
-
-def _load_config(args):
-    values = {}
-    if args.config:
-        for k, v in _read_json(args.config, ValueError).items():
-            if k not in _CONFIG_KEYS:
-                raise ValueError("unknown config key %r" % k)
-            field, kind = _CONFIG_KEYS[k]
-            if not isinstance(v, kind) or isinstance(v, bool):
-                raise ValueError("config key %r must be %s, got %r"
-                                 % (k, kind.__name__, v))
-            values[field] = v
-    for field in ("node_cap", "seed", "output"):
-        if getattr(args, field) is not None:
-            values[field] = getattr(args, field)
-    return RunConfig(**values)
-
-
-def _emit(args, config, payload, text_lines):
+def _emit(args, payload, text_lines):
     text = json.dumps(payload, sort_keys=True, indent=2)
     print(text if args.json else "\n".join(text_lines))
-    if config.output:
-        with open(config.output, "w", encoding="utf-8") as fh:
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
 
 
@@ -81,6 +48,19 @@ def _parse_ids(text):
         return [int(tok.lstrip("e")) for tok in text.split(",") if tok]
     except ValueError:
         raise GraphError("expected comma-separated edge ids, got %r" % text)
+
+
+def _parse_elements(text, m):
+    """The elements of `m` that the comma-separated tokens of `text` name:
+    a token spells a label, and an integer label may also be written as
+    an edge id ("e3")."""
+    labels = {str(e): e for e in m.elements}
+    labels.update(("e%d" % e, e) for e in m.elements if isinstance(e, int))
+    try:
+        return [labels[tok] for tok in text.split(",") if tok]
+    except KeyError as err:
+        raise MatroidError("--require: unknown element %r"
+                           % err.args[0]) from None
 
 
 def _certificate(model, pattern=None):
@@ -98,10 +78,10 @@ def _write_certificate(path, cert):
         fh.write("\n")
 
 
-def _cmd_catalog(args, config):
+def _cmd_catalog(args):
     if args.action == "list":
         names = catalog.list_names()
-        _emit(args, config, {"names": names}, names)
+        _emit(args, {"names": names}, names)
         return PASS
     entry = catalog.build(args.name)
     payload = io.to_json_dict(entry.graph)
@@ -111,7 +91,7 @@ def _cmd_catalog(args, config):
                                             entry.graph.m)]
     lines += ["  e%d: %s-%s" % (e, a, b)
               for e, (a, b) in sorted(entry.graph.edges.items())]
-    _emit(args, config, payload, lines)
+    _emit(args, payload, lines)
     return PASS
 
 
@@ -122,7 +102,7 @@ def _pattern_arg(text):
     return "", io.load_graph(text)
 
 
-def _cmd_minor(args, config):
+def _cmd_minor(args):
     if args.action == "verify":
         host = io.load_graph(args.host)
         cert = _read_json(args.certificate_in, GraphError,
@@ -147,7 +127,7 @@ def _cmd_minor(args, config):
         model = minors.MinorModel(host, frozenset(cert["contracted"]),
                                   frozenset(cert["deleted"]), name, iso)
         ok, diagnostics = minors.verify_model(model, pattern)
-        _emit(args, config, {"valid": ok, "diagnostics": diagnostics},
+        _emit(args, {"valid": ok, "diagnostics": diagnostics},
               ["valid" if ok else "invalid"] + diagnostics)
         return PASS if ok else FAIL
 
@@ -157,57 +137,57 @@ def _cmd_minor(args, config):
         name, pattern = _pattern_arg(args.pattern)
         model = minors.find_minor(host, name or pattern,
                                   required=_parse_ids(args.require),
-                                  node_cap=config.node_cap)
+                                  node_cap=args.node_cap)
     else:  # triangle
         tri = _parse_ids(args.triangle)
         if len(tri) != 3:
             raise GraphError("--triangle needs exactly three edge ids")
         fn = (minors.preserve_triangle_k5 if args.target == "K5"
               else minors.preserve_triangle_k331)
-        model = fn(host, tri, node_cap=config.node_cap)
+        model = fn(host, tri, node_cap=args.node_cap)
     if model is None:
-        _emit(args, config, {"found": False}, ["no minor found"])
+        _emit(args, {"found": False}, ["no minor found"])
         return FAIL
     cert = _certificate(model, pattern)
     if args.certificate:
         _write_certificate(args.certificate, cert)
-    _emit(args, config, dict(cert, found=True),
+    _emit(args, dict(cert, found=True),
           ["minor found: %s" % (model.pattern_name or args.pattern),
            "contracted: %s" % sorted(model.contracted),
            "deleted: %s" % sorted(model.deleted)])
     return PASS
 
 
-def _cmd_planarity(args, config):
+def _cmd_planarity(args):
     g = io.load_graph(args.graph)
-    result = minors.obstruction(g, node_cap=config.node_cap)
+    result = minors.obstruction(g, node_cap=args.node_cap)
     if result is None:
-        _emit(args, config, {"planar": True}, ["planar"])
+        _emit(args, {"planar": True}, ["planar"])
         return PASS
     name, model = result
     cert = _certificate(model)
     if args.certificate:
         _write_certificate(args.certificate, cert)
     payload = {"planar": False, "obstruction": dict(cert, found=True)}
-    _emit(args, config, payload, ["non-planar: %s minor" % name])
+    _emit(args, payload, ["non-planar: %s minor" % name])
     return PASS
 
 
-def _cmd_rounded(args, config):
+def _cmd_rounded(args):
     if args.family in rounded.NAMED_FAMILIES:
         family = rounded.NAMED_FAMILIES[args.family]
     else:
         family = tuple(_read_json(args.family, GraphError, kind=list))
         if not all(isinstance(name, str) for name in family):
             raise GraphError("%s: family entries must be names" % args.family)
-    report = rounded.verify_two_rounded(family, node_cap=config.node_cap)
+    report = rounded.verify_two_rounded(family, node_cap=args.node_cap)
     payload = report.to_json_dict()
     lines = ["family: %s" % ", ".join(family),
              "candidates: %d" % len(report.candidates),
              "failures: %d" % len(report.failures),
              "overruns: %d" % len(report.overruns),
              "verdict: %s" % report.verdict]
-    _emit(args, config, payload, lines)
+    _emit(args, payload, lines)
     if report.verdict == "budget":
         return INCONCLUSIVE
     return PASS if report.verdict == "pass" else FAIL
@@ -224,42 +204,42 @@ def _matroid_arg(text):
     return matroids.BinaryMatroid.from_rows(data["rows"], data["elements"])
 
 
-def _cmd_matroid(args, config):
+def _cmd_matroid(args):
     if args.action == "r12":
         if not args.verify:
             m = matroids.r12()
-            _emit(args, config, m.to_json_dict(),
+            _emit(args, m.to_json_dict(),
                   ["rank %d, %d elements" % (m.rank_value, m.size)])
             return PASS
         report = matroids.verify_r12_claims()
         ok = all(v["pass"] for v in report.values())
         lines = ["%s: %s" % (k, "pass" if v["pass"] else "fail")
                  for k, v in report.items()]
-        _emit(args, config, {"pass": ok, "checks": report}, lines)
+        _emit(args, {"pass": ok, "checks": report}, lines)
         return PASS if ok else FAIL
     host = _matroid_arg(args.host)
     target = _matroid_arg(args.target)
-    required = _parse_ids(args.require)
+    required = _parse_elements(args.require, host)
     witness = matroids.matroid_has_minor(host, target, required=required)
     if witness is None:
-        _emit(args, config, {"found": False}, ["no minor found"])
+        _emit(args, {"found": False}, ["no minor found"])
         return FAIL
     cset, dset = witness
     payload = {"found": True, "contract": sorted(cset), "delete": sorted(dset)}
-    _emit(args, config, payload,
+    _emit(args, payload,
           ["minor found", "contract: %s" % sorted(cset),
            "delete: %s" % sorted(dset)])
     return PASS
 
 
-def _cmd_verify_all(args, config):
-    report = verification.verify_all(seed=config.seed,
-                                     node_cap=config.node_cap)
+def _cmd_verify_all(args):
+    report = verification.verify_all(seed=args.seed,
+                                     node_cap=args.node_cap)
     outcomes = {k: "pass" if v["pass"] else v.get("outcome", "fail")
                 for k, v in report.items() if k != "pass"}
     lines = ["%s: %s" % item for item in outcomes.items()]
     lines.append("overall: %s" % ("pass" if report["pass"] else "fail"))
-    _emit(args, config, report, lines)
+    _emit(args, report, lines)
     if "fail" in outcomes.values():
         return FAIL
     return INCONCLUSIVE if "budget" in outcomes.values() else PASS
@@ -272,10 +252,10 @@ def build_parser():
     )
     parser.add_argument("--json", action="store_true",
                         help="emit JSON on stdout")
-    parser.add_argument("--config", help="JSON run configuration file")
-    parser.add_argument("--node-cap", type=int, default=None,
+    parser.add_argument("--node-cap", type=int,
+                        default=minors.DEFAULT_NODE_CAP,
                         help="search node-expansion cap")
-    parser.add_argument("--seed", type=int, default=None,
+    parser.add_argument("--seed", type=int, default=0,
                         help="seed for randomized verification runs")
     parser.add_argument("--output", default=None,
                         help="also write JSON output to this path")
@@ -326,7 +306,8 @@ def build_parser():
     mm.add_argument("--host", required=True,
                     help="r12, r10, a catalog name, or a matrix file")
     mm.add_argument("--target", required=True)
-    mm.add_argument("--require", default="")
+    mm.add_argument("--require", default="",
+                    help="comma-separated host element labels to keep")
 
     sub.add_parser("verify-all", help="run the full verification battery")
     return parser
@@ -345,13 +326,10 @@ _HANDLERS = {
 def dispatch(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.node_cap <= 0:
+        parser.error("--node-cap must be positive, got %d" % args.node_cap)
     try:
-        config = _load_config(args)
-    except (ValueError, OSError) as err:
-        print("configuration error: %s" % err, file=sys.stderr)
-        return USAGE
-    try:
-        return _HANDLERS[args.command](args, config)
+        return _HANDLERS[args.command](args)
     except (GraphError, MatroidError) as err:
         print("error: %s" % err, file=sys.stderr)
         return USAGE
@@ -359,10 +337,10 @@ def dispatch(argv=None):
         print("error: %s" % err, file=sys.stderr)
         return USAGE
     except minors.SearchBudgetExceeded as err:
-        print("inconclusive: %s (node cap %d)" % (err, config.node_cap),
+        print("inconclusive: %s (node cap %d)" % (err, args.node_cap),
               file=sys.stderr)
         if args.json:
-            _emit(args, config, {"found": None, "outcome": "budget"}, [])
+            _emit(args, {"found": None, "outcome": "budget"}, [])
         return INCONCLUSIVE
 
 

@@ -112,8 +112,9 @@ def random_nonplanar_host(rng, max_vertices=12):
             edges[g.fresh_edge_id()] = (a, w)
             edges[g.fresh_edge_id() + 1] = (b, w)
             g = LabeledMultigraph(set(g.vertices) | {w}, edges)
+        present = set(g.edges.values())
         missing = [p for p in combinations(g.sorted_vertices(), 2)
-                   if not g.multiplicity(*p)]
+                   if p not in present]
         rng.shuffle(missing)
         while not is_three_connected(g) and missing:
             g = g.with_edge(g.fresh_edge_id(), *missing.pop())

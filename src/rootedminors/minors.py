@@ -321,7 +321,7 @@ def _build_model(host, edges, pattern_name, branches, required):
               if a in branch_of and branch_of[a] == branch_of.get(b)]
     contracted = frozenset(_spanning_forest(host, inside)[0])
     between = {}
-    for e in host.edge_ids():
+    for e in sorted(host.edges):
         if e in contracted:
             continue
         a, b = host.endpoints(e)
@@ -335,7 +335,7 @@ def _build_model(host, edges, pattern_name, branches, required):
         candidates = between.get((p, q) if p <= q else (q, p), [])
         forced = [e for e in candidates if e in required]
         kept.add(forced[0] if forced else min(candidates))
-    deleted = frozenset(host.edge_ids()) - contracted - kept
+    deleted = frozenset(host.edges) - contracted - kept
     iso = {min(sub): p for p, sub in branches.items()}
     return MinorModel(host, contracted, deleted, pattern_name, iso)
 

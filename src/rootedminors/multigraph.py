@@ -5,11 +5,11 @@ pairs; loops and parallel edges are allowed.  Edge ids are stable: deletion
 and contraction never rename a surviving edge.  All operations return new
 graphs; instances are never mutated after construction.
 
-Connectivity works on int masks: neighbour_masks gives one neighbour mask
-per vertex, bit i standing for the i-th vertex in sorted order, and the one
-walk, connected, decides whether a vertex mask induces a connected graph.
-is_connected, vertex_connectivity, is_three_connected and the minor search
-all read these two.
+Adjacency is one int mask per vertex: neighbour_masks sets bit i for the
+i-th vertex in sorted order, loops and multiplicities left out.  Triangles,
+edge additions, is_three_connected and the minor search read these masks,
+and the one walk, connected, decides whether a vertex mask induces a
+connected graph.
 """
 from __future__ import annotations
 
@@ -54,9 +54,6 @@ class LabeledMultigraph:
     def edges(self):
         return dict(self._edges)
 
-    def edge_ids(self):
-        return sorted(self._edges)
-
     def endpoints(self, e):
         try:
             return self._edges[e]
@@ -78,31 +75,6 @@ class LabeledMultigraph:
         """Sorted ids of edges incident to v (loops included once)."""
         return sorted(e for e, (a, b) in self._edges.items() if v == a or v == b)
 
-    def degree(self, v):
-        """Vertex degree; a loop contributes 2."""
-        d = 0
-        for a, b in self._edges.values():
-            if a == v:
-                d += 1
-            if b == v:
-                d += 1
-        return d
-
-    def neighbors(self, v):
-        """Sorted distinct neighbors of v (v itself only if a loop exists)."""
-        out = set()
-        for a, b in self._edges.values():
-            if a == v:
-                out.add(b)
-            elif b == v:
-                out.add(a)
-        return sorted(out)
-
-    def multiplicity(self, u, v):
-        """Number of parallel edges joining u and v (loops if u == v)."""
-        key = (u, v) if u <= v else (v, u)
-        return sum(1 for pair in self._edges.values() if pair == key)
-
     def edges_between(self, u, v):
         key = (u, v) if u <= v else (v, u)
         return sorted(e for e, pair in self._edges.items() if pair == key)
@@ -114,15 +86,6 @@ class LabeledMultigraph:
                 return False
             seen.add((a, b))
         return True
-
-    def adjacency(self):
-        """Simple adjacency sets (ignores multiplicities and loops)."""
-        adj = {v: set() for v in self._vertices}
-        for a, b in self._edges.values():
-            if a != b:
-                adj[a].add(b)
-                adj[b].add(a)
-        return adj
 
     # -- construction helpers --------------------------------------------
 
@@ -223,11 +186,13 @@ class LabeledMultigraph:
         ids = {}
         for e, pair in self._edges.items():
             ids.setdefault(pair, []).append(e)
-        adj = self.adjacency()
+        verts, nbr = neighbour_masks(self)
         out = []
-        for a, b in ids:
-            for c in adj[a] & adj[b]:
-                if a < b < c:
+        for i, a in enumerate(verts):
+            for j in bits(nbr[i] & -(2 << i)):  # b above a, then c above b
+                b = verts[j]
+                for k in bits(nbr[i] & nbr[j] & -(2 << j)):
+                    c = verts[k]
                     out.extend(tuple(sorted(t)) for t in product(
                         ids[(a, b)], ids[(b, c)], ids[(a, c)]))
         return sorted(out)
@@ -301,9 +266,10 @@ def edge_additions(g, autos=()):
     orbit is added, since an automorphism carrying ab to cd carries g + ab
     onto g + cd."""
     eid = g.fresh_edge_id()
-    adj = g.adjacency()
-    pairs = [frozenset(pair) for pair in combinations(g.sorted_vertices(), 2)
-             if pair[1] not in adj[pair[0]]]
+    verts, nbr = neighbour_masks(g)
+    full = (1 << len(verts)) - 1  # -(2 << i): the bits above i
+    pairs = [frozenset((a, verts[j])) for i, a in enumerate(verts)
+             for j in bits((full ^ nbr[i]) & -(2 << i))]
     return [(g.with_edge(eid, a, b), eid, (a, b))
             for a, b in map(sorted, orbit_firsts(pairs, autos))]
 
@@ -316,11 +282,6 @@ def complete_graph(n):
         edges[eid] = (a, b)
         eid += 1
     return LabeledMultigraph(vertices, edges)
-
-
-def cycle_graph(n):
-    edges = {i + 1: (i, (i + 1) % n) for i in range(n)}
-    return LabeledMultigraph(range(n), edges)
 
 
 def bits(mask):
@@ -357,22 +318,6 @@ def connected(nbr, alive):
         seen |= new
         stack |= new
     return seen == alive
-
-
-def is_connected(g):
-    _, nbr = neighbour_masks(g)
-    return connected(nbr, (1 << len(nbr)) - 1)
-
-
-def vertex_connectivity(g):
-    """Minimum vertex-cut size; K_n yields n-1, disconnected graphs 0.
-
-    The smallest k for which removing some k vertices disconnects the rest.
-    Loops and parallel edges are ignored.
-    """
-    _, nbr = neighbour_masks(g)
-    n = len(nbr)
-    return next((k for k in range(n - 1) if _has_cut(nbr, k)), max(n - 1, 0))
 
 
 def _has_cut(nbr, k):

@@ -91,15 +91,9 @@ def _dedup(cands):
     return [c for c, _ in kept]
 
 
-def _entry(name_or_entry):
-    if isinstance(name_or_entry, str):
-        return catalog.build(name_or_entry)
-    return name_or_entry
-
-
-def enumerate_extensions(entry):
+def enumerate_extensions(name):
     """Simple 3-connected one-edge extensions, one per tagged-isomorphism class."""
-    entry = _entry(entry)
+    entry = catalog.build(name)
     return _dedup([
         Candidate(entry.name, "extension", h, eid, pair)
         for h, eid, pair in edge_additions(entry.graph)
@@ -107,9 +101,9 @@ def enumerate_extensions(entry):
     ])
 
 
-def enumerate_coextensions(entry):
+def enumerate_coextensions(name):
     """Simple 3-connected vertex splits, one per tagged-isomorphism class."""
-    entry = _entry(entry)
+    entry = catalog.build(name)
     return _dedup([
         Candidate(entry.name, "coextension", h, split.new_edge_id, split)
         for h, split in three_connected_splits(entry.graph)

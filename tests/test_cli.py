@@ -180,6 +180,46 @@ def test_matroid_minor(capsys):
     assert 8 not in data["contract"] + data["delete"]
 
 
+def _string_labelled_matroids(tmp_path):
+    host = tmp_path / "m.json"
+    host.write_text(json.dumps({"elements": ["a", "b", "c", "d"],
+                                "rows": [[1, 1, 0, 1], [0, 0, 1, 1]]}))
+    target = tmp_path / "t.json"
+    target.write_text(json.dumps({"elements": [0, 1, 2],
+                                  "rows": [[1, 0, 1], [0, 1, 1]]}))
+    return str(host), str(target)
+
+
+def test_matroid_minor_requires_a_string_label(tmp_path, capsys):
+    host, target = _string_labelled_matroids(tmp_path)
+    code, out = _run(capsys, "--json", "matroid", "minor", "--host", host,
+                     "--target", target, "--require", "a")
+    assert code == PASS
+    assert json.loads(out) == {"found": True, "contract": [], "delete": ["b"]}
+
+
+@pytest.mark.parametrize("host, token", [
+    ("labels", "z"), ("labels", "1"), ("r12", "13"), ("r12", "x3"),
+])
+def test_matroid_minor_names_an_unknown_required_element(tmp_path, capsys,
+                                                         host, token):
+    if host == "labels":
+        host, target = _string_labelled_matroids(tmp_path)
+    else:
+        target = "K33"
+    err = _usage_error(capsys, ["matroid", "minor", "--host", host,
+                                "--target", target, "--require", token])
+    assert repr(token) in err
+
+
+def test_matroid_minor_reads_integer_labels_as_edge_ids(capsys):
+    _, plain = _run(capsys, "--json", "matroid", "minor", "--host", "r12",
+                    "--target", "K33", "--require", "3,8")
+    _, prefixed = _run(capsys, "--json", "matroid", "minor", "--host", "r12",
+                       "--target", "K33", "--require", "e3,e8")
+    assert plain == prefixed
+
+
 def test_matroid_minor_absent(capsys):
     code, _ = _run(capsys, "matroid", "minor", "--host", "r10",
                    "--target", "K33_11")
@@ -192,19 +232,18 @@ def test_json_output_is_byte_identical_across_runs(capsys):
     assert out1 == out2
 
 
-def test_config_file_sets_node_cap(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"search-node-cap": 0}))
-    code, _ = _run(capsys, "--config", str(cfg), "catalog", "list")
-    assert code == USAGE  # cap must be positive
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_node_cap_must_be_positive(capsys, cap):
+    with pytest.raises(SystemExit) as exc:
+        dispatch(["--node-cap", cap, "catalog", "list"])
+    assert exc.value.code == USAGE
+    assert "--node-cap must be positive" in capsys.readouterr().err
 
 
-def test_config_file_rejects_verbosity(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"verbosity": 1}))
-    code = dispatch(["--config", str(cfg), "catalog", "list"])
-    assert code == USAGE
-    assert "unknown config key" in capsys.readouterr().err
+def test_config_flag_is_gone():
+    with pytest.raises(SystemExit) as exc:
+        dispatch(["--config", "cfg.json", "catalog", "list"])
+    assert exc.value.code == 2
 
 
 def test_verbose_flag_is_rejected():
@@ -232,19 +271,6 @@ def _usage_error(capsys, argv):
     assert code == USAGE
     assert "Traceback" not in err and err.strip()
     return err
-
-
-def test_config_node_cap_must_be_an_integer(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"search-node-cap": "abc"}))
-    err = _usage_error(capsys, ["--config", str(cfg), "catalog", "list"])
-    assert "search-node-cap" in err
-
-
-def test_config_must_be_an_object(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps([{"seed": 1}]))
-    _usage_error(capsys, ["--config", str(cfg), "catalog", "list"])
 
 
 def test_graph_edge_record_without_endpoint(tmp_path, capsys):

@@ -87,3 +87,39 @@ def test_traced_name_resolves_to_its_owner(module, attr, owner):
     own = importlib.import_module("rootedminors." + owner)
     assert hasattr(mod, attr), "rootedminors.%s.%s is gone" % (module, attr)
     assert getattr(mod, attr) is getattr(own, attr)
+
+
+def _names_used(tree):
+    return {node.attr if isinstance(node, ast.Attribute) else node.id
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Attribute, ast.Name))}
+
+
+def _multigraph_api():
+    """Public module-level functions of multigraph.py and public methods of
+    LabeledMultigraph, each with its definition node."""
+    path = Path(rootedminors.__file__).parent / "multigraph.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    [cls] = [node for node in tree.body if isinstance(node, ast.ClassDef)
+             and node.name == "LabeledMultigraph"]
+    defs = [node for node in (*tree.body, *cls.body)
+            if isinstance(node, ast.FunctionDef)]
+    return tree, {node.name: node for node in defs
+                  if not node.name.startswith("_")}
+
+
+def test_every_multigraph_name_has_a_caller_in_the_program():
+    """A public kernel name that only tests call is dead API: it must be
+    read by another module of the package, by the benchmark, or by some
+    other definition in multigraph.py itself."""
+    tree, api = _multigraph_api()
+    root = Path(__file__).parents[1]
+    used = set()
+    for path in (*SOURCES, *(root / "bench").glob("*.py")):
+        if path.name != "multigraph.py":
+            used |= _names_used(ast.parse(path.read_text(encoding="utf-8")))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            inner = set().union(*map(_names_used, node.body))
+            used |= inner - {node.name}
+    assert sorted(set(api) - used) == []

@@ -1,7 +1,7 @@
 """Canonical labelling and isomorphism: codes, hits, misses, and returned
 bijections."""
 import random
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations, product
 
 from rootedminors import catalog, generate
 from rootedminors.isomorphism import (are_isomorphic, canonical_labeling,
@@ -94,6 +94,56 @@ def test_is_isomorphism_rejects_bad_maps():
     assert is_isomorphism(g, g, good)
     assert not is_isomorphism(g, g, {0: 0, 1: 1, 2: 2})
     assert not is_isomorphism(g, g, {0: 0, 1: 1, 2: 2, 3: 2})
+
+
+def _edges_per_pair(g, u, v):
+    key = (u, v) if u <= v else (v, u)
+    return sum(pair == key for pair in g.edges.values())
+
+
+def _counts_agree(g1, g2, mapping):
+    """Reference check: a bijection, then the number of edges joining each
+    vertex pair, loops included, equal to that of its image pair."""
+    if set(mapping) != set(g1.vertices):
+        return False
+    if sorted(mapping.values()) != g2.sorted_vertices():
+        return False
+    return all(_edges_per_pair(g1, u, v)
+               == _edges_per_pair(g2, mapping[u], mapping[v])
+               for u, v in combinations_with_replacement(g1.vertices, 2))
+
+
+def _bad_maps(g, h, perm, rng):
+    """Maps g -> h that are not isomorphisms: a vertex missing, an image
+    repeated, and the true map onto h with one edge moved."""
+    u, v = rng.sample(sorted(perm), 2)
+    missing = {w: x for w, x in perm.items() if w != u}
+    out = [(h, missing), (h, {**perm, u: perm[v]})]
+    if h.m:
+        e = rng.choice(sorted(h.edges))
+        a, b = h.endpoints(e)
+        moved = {**h.edges, e: (a, rng.choice(sorted(h.vertices - {b})))}
+        out.append((LabeledMultigraph(h.vertices, moved), perm))
+    return out
+
+
+def test_is_isomorphism_matches_counting_edges_per_pair():
+    rng = random.Random(29)
+    multi = [generate.random_host(rng, max_edges=16) for _ in range(300)]
+    assert any(a == b for g in multi for a, b in g.edges.values())
+    assert not all(g.is_simple() for g in multi)
+    for g in (*generate.all_graphs(6), *multi):
+        verts = g.sorted_vertices()
+        perm = dict(zip(verts, rng.sample(range(100), len(verts))))
+        h = LabeledMultigraph(perm.values(), {
+            e: (perm[a], perm[b]) for e, (a, b) in g.edges.items()})
+        assert is_isomorphism(g, h, perm) and _counts_agree(g, h, perm)
+        for target, mapping in _bad_maps(g, h, perm, rng):
+            assert not _counts_agree(g, target, mapping)
+            assert not is_isomorphism(g, target, mapping), (g.edges, mapping)
+        u, v = rng.sample(verts, 2)  # swapped images: wrong unless symmetric
+        swapped = {**perm, u: perm[v], v: perm[u]}
+        assert is_isomorphism(g, h, swapped) == _counts_agree(g, h, swapped)
 
 
 def test_code_survives_relabelling():

@@ -25,7 +25,6 @@ from rootedminors.multigraph import (
     GraphError,
     LabeledMultigraph,
     complete_graph,
-    cycle_graph,
 )
 
 
@@ -242,7 +241,7 @@ def test_triangle_check_matches_the_triangle_list():
     hosts += [catalog.build(name).graph for name in catalog.list_names()]
     for host in hosts:
         listed = set(host.triangles())
-        for triple in combinations(host.edge_ids(), 3):
+        for triple in combinations(sorted(host.edges), 3):
             try:
                 find_family_minor(host, (), triangle=triple)
                 accepted = True
@@ -284,7 +283,7 @@ def test_triangle_preservation_on_k33_11_itself():
             images.add((model.iso[a], model.iso[b]))
         verts = {v for pair in images for v in pair}
         assert len(verts) == 3
-        assert all(pattern.multiplicity(a, b) for a, b in
+        assert all(pattern.edges_between(a, b) for a, b in
                    combinations(sorted(verts), 2))
 
 
@@ -359,7 +358,8 @@ def test_k5_iff_k331_examples():
 
 def test_k5_iff_k331_preconditions():
     with pytest.raises(GraphError):
-        k5_iff_k331(cycle_graph(5))
+        k5_iff_k331(LabeledMultigraph(  # a 5-cycle
+            range(5), {i + 1: (i, (i + 1) % 5) for i in range(5)}))
     with pytest.raises(GraphError):
         k5_iff_k331(catalog.build("K5").graph)
     doubled = complete_graph(4).with_edge(99, 0, 1)
@@ -481,10 +481,13 @@ def test_orbit_reduction_returns_the_full_search_model(monkeypatch):
 
 def _masks(g):
     """Neighbourhood masks of g, bit i for the i-th vertex in sorted order."""
-    verts = g.sorted_vertices()
-    index = {v: i for i, v in enumerate(verts)}
-    adj = g.adjacency()
-    return [sum(1 << index[u] for u in adj[v]) for v in verts]
+    index = {v: i for i, v in enumerate(g.sorted_vertices())}
+    nbr = [0] * g.n
+    for a, b in g.edges.values():
+        if a != b:
+            nbr[index[a]] |= 1 << index[b]
+            nbr[index[b]] |= 1 << index[a]
+    return nbr
 
 
 def _brute_connected_subsets(nbr, pool, must, max_size):
