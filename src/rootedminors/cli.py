@@ -34,8 +34,11 @@ def _read_json(path, error, kind=dict, keys=()):
 
 
 def _emit(args, payload, text_lines):
+    """Print the payload as JSON under --json, else the text lines (none
+    prints nothing), and write the JSON to --output in either mode."""
     text = json.dumps(payload, sort_keys=True, indent=2)
-    print(text if args.json else "\n".join(text_lines))
+    if args.json or text_lines:
+        print(text if args.json else "\n".join(text_lines))
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -186,6 +189,8 @@ def _cmd_rounded(args):
              "candidates: %d" % len(report.candidates),
              "failures: %d" % len(report.failures),
              "overruns: %d" % len(report.overruns),
+             "rejected: %d" % len(report.rejected),
+             "searches: %d" % report.searches,
              "verdict: %s" % report.verdict]
     _emit(args, payload, lines)
     if report.verdict == "budget":
@@ -339,8 +344,7 @@ def dispatch(argv=None):
     except minors.SearchBudgetExceeded as err:
         print("inconclusive: %s (node cap %d)" % (err, args.node_cap),
               file=sys.stderr)
-        if args.json:
-            _emit(args, {"found": None, "outcome": "budget"}, [])
+        _emit(args, {"found": None, "outcome": "budget"}, [])
         return INCONCLUSIVE
 
 

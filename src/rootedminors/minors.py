@@ -41,6 +41,11 @@ class MinorModel:
     pattern_name: str
     iso: dict  # result vertex -> pattern vertex
 
+    @property
+    def kept(self):
+        """The host edges the minor keeps, E - C - D: its edge set."""
+        return frozenset(self.host.edges) - self.contracted - self.deleted
+
     def to_json_dict(self):
         return {
             "pattern": self.pattern_name,
@@ -112,6 +117,35 @@ def verify_model(model, pattern=None):
         return False, ["iso is not an isomorphism from the minor onto the "
                        "pattern"]
     return True, []
+
+
+class Cover:
+    """The questions that verified models of one host already answer.
+
+    A question is a set of required edges.  A model keeps exactly the
+    edges of its minor, so it answers every question inside `kept`, for
+    the target or family that produced it.  A model enters only once
+    verify_model accepts it and it keeps the question it was found for;
+    a rejected model answers nothing.
+    """
+
+    def __init__(self):
+        self._kept = []
+
+    def answers(self, question):
+        """Whether an admitted model keeps every edge of `question`."""
+        return any(question <= kept for kept in self._kept)
+
+    def admit(self, model, question=frozenset()):
+        """Check `model` once; returns its diagnostics, empty when it now
+        answers every question inside its kept edges."""
+        ok, diagnostics = verify_model(model)
+        kept = model.kept
+        if ok and not question <= kept:
+            diagnostics = ["a required edge is contracted or deleted"]
+        if not diagnostics:
+            self._kept.append(kept)
+        return diagnostics
 
 
 def _connected_subsets(nbr, pool, must, max_size, budget):

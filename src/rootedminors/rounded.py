@@ -5,6 +5,11 @@ single-element extension or coextension M of a member (with distinguished
 element e, the added or split edge) has, for every other edge f, an F-minor
 whose edge set contains both e and f.  Only simple 3-connected candidates
 matter, so the enumerators filter to those.
+
+An F-minor model keeps exactly the edges of its minor, so one model that
+verify_model accepts answers every pair {e, f} inside its kept edges.  Each
+candidate's pairs are taken in order of f, and only those that no earlier
+verified model of the candidate answers are searched.
 """
 from __future__ import annotations
 
@@ -13,7 +18,7 @@ from dataclasses import dataclass
 from . import catalog
 from .io import to_json_dict
 from .isomorphism import are_isomorphic
-from .minors import (DEFAULT_NODE_CAP, FAMILY_A, FAMILY_B,
+from .minors import (DEFAULT_NODE_CAP, FAMILY_A, FAMILY_B, Cover,
                      SearchBudgetExceeded, find_family_minor)
 from .multigraph import (GraphError, VertexSplit, edge_additions,
                          is_three_connected, three_connected_splits)
@@ -51,12 +56,14 @@ class RoundednessReport:
     candidates: list
     failures: list  # (candidate index, e, f)
     overruns: list  # (candidate index, e, f) whose search hit the node cap
+    rejected: list  # (candidate index, e, f, diagnostics) of rejected models
+    searches: int  # pairs searched; the others a verified model answered
     note: str = ("candidates restricted to simple 3-connected graphs; "
                  "others are outside the 2-rounded criterion's scope")
 
     @property
     def verdict(self):
-        if self.failures:
+        if self.failures or self.rejected:
             return "fail"
         return "budget" if self.overruns else "pass"
 
@@ -71,6 +78,11 @@ class RoundednessReport:
             "overruns": [
                 {"candidate": i, "e": e, "f": f} for i, e, f in self.overruns
             ],
+            "rejected": [
+                {"candidate": i, "e": e, "f": f, "diagnostics": d}
+                for i, e, f, d in self.rejected
+            ],
+            "searches": self.searches,
             "verdict": self.verdict,
         }
 
@@ -111,8 +123,12 @@ def enumerate_coextensions(name):
 
 
 def verify_two_rounded(family, node_cap=DEFAULT_NODE_CAP):
-    """Check the 2-rounded criterion for a family of catalog names; a query
-    that hits the node cap is an overrun, and the others are still decided."""
+    """Check the 2-rounded criterion for a family of catalog names.
+
+    A pair is searched only when no earlier verified model of its candidate
+    keeps both edges.  A search that hits the node cap is an overrun unless
+    a later verified model answers its pair; the others are still decided.
+    """
     family = tuple(family)
     if not family or len(set(family)) != len(family):
         raise GraphError("a family needs at least one member, each listed "
@@ -121,21 +137,30 @@ def verify_two_rounded(family, node_cap=DEFAULT_NODE_CAP):
     for name in family:
         candidates.extend(enumerate_extensions(name))
         candidates.extend(enumerate_coextensions(name))
-    failures, overruns = [], []
+    failures, overruns, rejected = [], [], []
+    searches = 0
     for i, cand in enumerate(candidates):
         e = cand.element
+        cover, missed = Cover(), []
         for f in sorted(cand.graph.edges):
-            if f == e:
+            pair = frozenset((e, f))
+            if f == e or cover.answers(pair):
                 continue
+            searches += 1
             try:
-                hit = find_family_minor(cand.graph, family, required={e, f},
+                hit = find_family_minor(cand.graph, family, required=pair,
                                         node_cap=node_cap)
             except SearchBudgetExceeded:
-                overruns.append((i, e, f))
+                missed.append(f)
                 continue
             if hit is None:
                 failures.append((i, e, f))
-    return RoundednessReport(family, candidates, failures, overruns)
+            elif diagnostics := cover.admit(hit[1], pair):
+                rejected.append((i, e, f, diagnostics))
+        overruns.extend((i, e, f) for f in missed
+                        if not cover.answers(frozenset((e, f))))
+    return RoundednessReport(family, candidates, failures, overruns,
+                             rejected, searches)
 
 
 NAMED_FAMILIES = {"a": FAMILY_A, "b": FAMILY_B}

@@ -177,11 +177,20 @@ def test_triangle_preservation_for_k5_target_exhaustive(triangle_report):
     assert _rejected(triangle_report, "K5") == []
 
 
+def test_triangle_searches_are_pinned(triangle_report):
+    """A verified model answers every triangle it keeps, so the 27376
+    triangles take these many searches.  The counts do not depend on the
+    machine, so they are the scan's regression signal."""
+    assert triangle_report["searches"] == {"K33_11": 12726, "K5": 10770}
+
+
 def test_family_minors_through_any_edge_pair_on_random_hosts():
     report = verification.family_minor_sample(seed=0, hosts=500,
                                               pairs_per_host=10)
     assert report["pairs"] == 5000
     assert report["pass"], report["failures"][:10]
+    assert report["rejected_models"] == []
+    assert report["searches"] == 2538
 
 
 def test_r12_verification_suite():

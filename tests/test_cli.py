@@ -55,6 +55,20 @@ def test_node_cap_overrun_is_inconclusive(tmp_path, capsys):
                                                    "outcome": "budget"}
 
 
+def test_node_cap_overrun_overwrites_the_output_file_in_text_mode(
+        tmp_path, capsys):
+    host = tmp_path / "host.json"
+    host.write_text(io.to_json(catalog.build("K33_13").graph))
+    report = tmp_path / "o.json"
+    report.write_text(json.dumps({"found": True, "stale": True}))
+    code, out = _run(capsys, "--node-cap", "3", "--output", str(report),
+                     "minor", "find", "--host", str(host), "--pattern", "K5")
+    assert code == INCONCLUSIVE
+    assert out == ""
+    assert json.loads(report.read_text()) == {"found": None,
+                                              "outcome": "budget"}
+
+
 def test_minor_find_with_certificate_round_trip(tmp_path, capsys):
     host = tmp_path / "host.json"
     host.write_text(io.to_json(catalog.build("K33_11").graph))
@@ -129,6 +143,15 @@ def test_rounded_verify_family_a(tmp_path, capsys):
     assert code == PASS
     assert json.loads(out)["verdict"] == "pass"
     assert json.loads(report.read_text())["verdict"] == "pass"
+
+
+def test_rounded_verify_text_reports_searches(capsys):
+    code, out = _run(capsys, "rounded", "verify", "--family", "a")
+    assert code == PASS
+    assert out.splitlines() == [
+        "family: K33, K33_01, K33_02, K33_11", "candidates: 13",
+        "failures: 0", "overruns: 0", "rejected: 0", "searches: 32",
+        "verdict: pass"]
 
 
 def test_rounded_budget_overrun_keeps_the_report(capsys):

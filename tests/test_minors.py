@@ -9,6 +9,7 @@ from rootedminors import catalog, generate, minors, verification
 from rootedminors.isomorphism import is_isomorphism
 from rootedminors.minors import (
     FAMILY_A,
+    Cover,
     MinorModel,
     SearchBudgetExceeded,
     apply_model,
@@ -681,3 +682,21 @@ def test_unpinned_search_agrees_with_the_oracle_on_six_vertices():
                 assert verify_model(model)[0]
                 positives += 1
     assert positives == 26
+
+
+def test_cover_admits_only_verified_models_that_keep_their_question():
+    host = catalog.build("K33_11").graph
+    model = find_minor(host, "K5")
+    minor = apply_model(host, model.contracted, model.deleted)
+    assert model.kept == frozenset(minor.edges)
+    lost = frozenset({min(model.contracted)})
+    cover = Cover()
+    assert cover.admit(model, lost) == [
+        "a required edge is contracted or deleted"]
+    assert not cover.answers(frozenset())
+    broken = MinorModel(host, model.contracted, model.deleted,
+                        model.pattern_name, {})
+    assert cover.admit(broken) != [] and not cover.answers(frozenset())
+    assert cover.admit(model, frozenset(sorted(model.kept)[:2])) == []
+    assert cover.answers(model.kept) and cover.answers(frozenset())
+    assert not cover.answers(model.kept | lost)

@@ -1,9 +1,11 @@
 """Extension/coextension enumeration and the 2-roundedness verdicts."""
 import json
 
-from rootedminors import catalog, rounded
+import pytest
+
+from rootedminors import catalog, minors, rounded
 from rootedminors.isomorphism import are_isomorphic
-from rootedminors.minors import FAMILY_A, FAMILY_B
+from rootedminors.minors import FAMILY_A, FAMILY_B, find_family_minor
 from rootedminors.multigraph import LabeledMultigraph, three_connected_splits
 
 
@@ -115,3 +117,61 @@ def test_report_is_reproducible_and_serializable():
     assert r1["verdict"] == "pass"
     kinds = {c["kind"] for c in r1["candidates"]}
     assert kinds == {"extension", "coextension"}
+
+
+def _questions(report):
+    """Every candidate's (index, e, f) pairs, in the order they are taken."""
+    return [(i, c.element, f) for i, c in enumerate(report.candidates)
+            for f in sorted(c.graph.edges) if f != c.element]
+
+
+@pytest.mark.parametrize("family, searches", [(FAMILY_A, 32),
+                                              (FAMILY_B, 35)])
+def test_verified_models_answer_most_pairs(family, searches):
+    report = rounded.verify_two_rounded(family)
+    assert len(_questions(report)) == {FAMILY_A: 138, FAMILY_B: 148}[family]
+    assert report.searches == searches
+    assert report.rejected == [] and report.overruns == []
+    assert report.to_json_dict()["searches"] == searches
+
+
+@pytest.mark.parametrize("family", [("K33",), FAMILY_A])
+def test_failures_match_asking_every_pair_directly(family):
+    report = rounded.verify_two_rounded(family)
+    direct = [(i, e, f) for i, e, f in _questions(report)
+              if find_family_minor(report.candidates[i].graph, family,
+                                   required={e, f}) is None]
+    assert report.failures == direct
+
+
+def test_a_rejected_model_answers_nothing(monkeypatch):
+    monkeypatch.setattr(minors, "verify_model",
+                        lambda model: (False, ["rejected on purpose"]))
+    report = rounded.verify_two_rounded(FAMILY_A)
+    questions = _questions(report)
+    assert report.searches == len(questions) == 138
+    assert [(i, e, f) for i, e, f, _ in report.rejected] == questions
+    assert {tuple(d) for *_, d in report.rejected} == {
+        ("rejected on purpose",)}
+    assert report.failures == [] and report.verdict == "fail"
+
+
+def test_an_overrun_answered_by_a_later_model_is_not_listed(monkeypatch):
+    """The first search of every candidate overruns; its pair would stay
+    an overrun only if no later verified model of the candidate kept it."""
+    search = rounded.find_family_minor
+    seen = set()
+
+    def first_overruns(host, family, **kwargs):
+        if id(host) not in seen:
+            seen.add(id(host))
+            raise minors.SearchBudgetExceeded("forced")
+        return search(host, family, **kwargs)
+
+    monkeypatch.setattr(rounded, "find_family_minor", first_overruns)
+    report = rounded.verify_two_rounded(FAMILY_A)
+    # each of the 13 candidates makes one more search than unforced, and
+    # a later model keeps every first pair
+    assert report.searches == 32 + 13
+    assert report.overruns == [] and report.failures == []
+    assert report.verdict == "pass"
