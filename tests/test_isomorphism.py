@@ -1,12 +1,17 @@
 """Canonical labelling and isomorphism: codes, hits, misses, and returned
 bijections."""
+import hashlib
 import random
 from itertools import combinations_with_replacement, permutations, product
 
 from rootedminors import catalog, generate
 from rootedminors.isomorphism import (are_isomorphic, canonical_labeling,
                                       is_isomorphism)
-from rootedminors.multigraph import LabeledMultigraph, complete_graph
+from rootedminors.matroids import cycle_matroid, r10, r12
+from rootedminors.minors import FAMILY_A, FAMILY_B
+from rootedminors.multigraph import (LabeledMultigraph, complete_graph,
+                                     edge_additions, is_three_connected,
+                                     three_connected_splits)
 
 
 def _shuffled_copy(g, rng):
@@ -217,3 +222,80 @@ def test_generators_are_automorphisms_of_multigraphs():
         for h in (g, _shuffled_copy(g, rng)):
             assert all(is_isomorphism(h, h, p)
                        for p in canonical_labeling(h)[2])
+
+
+def test_generators_generate_the_automorphism_group_of_multigraphs():
+    """On seeded random multigraphs of at most 6 vertices, loops and
+    parallel edges included, the generators are automorphisms and generate
+    a group of the order that a brute force over all permutations counts."""
+    rng = random.Random(31)
+    hosts = [g for g in (generate.random_host(rng) for _ in range(300))
+             if g.n <= 6]
+    assert len(hosts) >= 100
+    assert any(a == b for g in hosts for a, b in g.edges.values())
+    assert any(len(set(g.edges.values())) < g.m for g in hosts)
+    for g in hosts:
+        gens = canonical_labeling(g)[2]
+        assert all(is_isomorphism(g, g, p) for p in gens)
+        verts = g.sorted_vertices()
+        edges = sorted(g.edges.values())
+        order = 0
+        for image in permutations(verts):
+            perm = dict(zip(verts, image))
+            order += sorted(tuple(sorted((perm[a], perm[b])))
+                            for a, b in edges) == edges
+        assert _group_order(gens, verts) == order, g.edges
+        assert (order == 1) == (not gens)
+
+
+def _labelling_corpus():
+    """Named groups of labellings: simple graphs, catalog graphs, two-layer
+    multigraphs, random multigraphs with loops, and the element-circuit
+    incidence graphs of binary matroids."""
+    doubled = []
+    for name in sorted(set(FAMILY_A) | set(FAMILY_B)):
+        g = catalog.build(name).graph
+        tagged = [(h, e) for h, e, _ in edge_additions(g)
+                  if is_three_connected(h)]
+        tagged += [(h, s.new_edge_id) for h, s in three_connected_splits(g)]
+        doubled += [h.with_edge(h.fresh_edge_id(), *h.endpoints(e))
+                    for h, e in tagged]
+    rng = random.Random(25)
+    matroids = [r10(), r12()] + [cycle_matroid(catalog.build(name).graph)
+                                 for name in FAMILY_A]
+    return {
+        "all_graphs(6)": [canonical_labeling(g) for g in generate.all_graphs(6)],
+        "catalog": [canonical_labeling(catalog.build(name).graph)
+                    for name in catalog.list_names()],
+        "doubled candidates": [canonical_labeling(g) for g in doubled],
+        "random_host": [canonical_labeling(generate.random_host(rng))
+                        for _ in range(200)],
+        "incidence graphs": [m._labelling for m in matroids],
+    }
+
+
+_PINNED_LABELLINGS = {
+    "all_graphs(6)":
+        "284cea8399cebbce44740a7e8b6ba85af34282a7267ef6bd1219d6d24a5f2a64",
+    "catalog":
+        "66c455f8be39682da2b414e1c5105a408e81f064204c6dad4c395b70e769fffa",
+    "doubled candidates":
+        "b9729cb5d32b7bbe13c6a247d119c220893ecabd4512645663878aa9e3044e9d",
+    "random_host":
+        "70dd35c138dc8a3fd853bceaac8d865cb646e95be7f7f0b1bdc44f4a8912b64f",
+    "incidence graphs":
+        "24597196200301d9d85b5e3418abc85903ed111d28ad01a6ff353444e12a7f98",
+}
+
+
+def test_labellings_are_pinned():
+    """Codes, vertex orders and generators, in the order the search finds
+    them, of a fixed corpus: a change to the search that moves any of them
+    moves the closure's representatives and every pinned certificate."""
+    corpus = _labelling_corpus()
+    assert {part: len(labellings) for part, labellings in corpus.items()} == {
+        "all_graphs(6)": 156, "catalog": 20, "doubled candidates": 68,
+        "random_host": 200, "incidence graphs": 6}
+    digests = {part: hashlib.sha256(repr(labellings).encode()).hexdigest()
+               for part, labellings in corpus.items()}
+    assert digests == _PINNED_LABELLINGS
