@@ -6,8 +6,20 @@ patterns of up to about 12 vertices, and the element-circuit incidence
 graphs of binary matroids (59 vertices for R12).  Vertex i is bit i of an
 int mask, in sorted vertex order; bit j of row i in layer k is set when
 more than k edges join i and j.
-Two leaves with one code give an automorphism; as in nauty, those found
-generate Aut(g), and canonical_labeling returns them with the code.
+
+A search node refines its ordered partition of the vertices to an
+equitable one, then individualises each vertex of its first smallest
+non-singleton cell in turn; a node whose cells are all singletons is a
+leaf, and its vertex order relabels the rows into its code.  Two leaves
+with one code give an automorphism; as in nauty, those found generate
+Aut(g), and canonical_labeling returns them with the code.  A node skips
+a vertex that an automorphism fixing the node's individualised vertices
+maps from one it has tried: it filters those automorphisms and grows the
+orbit of its tried vertices only when a new one has been found since it
+last looked.  A node whose one non-singleton cell is a pair {a, b} has two
+leaves as children; when swapping a and b maps every row onto itself,
+the second leaf has the first's code, and its automorphism is recorded
+without building it.
 """
 from __future__ import annotations
 
@@ -16,74 +28,118 @@ def _refine(layers, cells, pending):
     """Split the ordered cells (int masks) by their edge counts into a
     splitter cell from `pending` until they are equitable.  Pieces go in
     order of count, so no position depends on a label; they become
-    splitters, but for the largest when the split cell has served."""
+    splitters, but for the largest when the split cell has served.  The
+    layers of a row are nested, so the counts into a one-vertex splitter
+    x split a cell by the layers of x's row."""
     n = len(layers[0])
+    single = layers[0] if len(layers) == 1 else None
     while pending and len(cells) < n:
-        w = next(c for c in cells if c in pending)
+        for w in cells:
+            if w in pending:
+                break
         pending.discard(w)
+        x = w.bit_length() - 1
+        one = w == 1 << x
         out = []
         for cell in cells:
-            if cell & (cell - 1):
+            if not cell & (cell - 1):
+                out.append(cell)
+                continue
+            if one:
+                pieces, rest = [], cell
+                for rows in layers:
+                    hit = rest & rows[x]
+                    if hit != rest:
+                        pieces.append(rest ^ hit)
+                    rest = hit
+                if rest:
+                    pieces.append(rest)
+            else:
                 groups = {}
                 rest = cell
                 while rest:
                     low = rest & -rest
                     rest ^= low
                     v = low.bit_length() - 1
-                    k = 0
-                    for rows in layers:
-                        k += (rows[v] & w).bit_count()
+                    if single:
+                        k = (single[v] & w).bit_count()
+                    else:
+                        k = 0
+                        for rows in layers:
+                            k += (rows[v] & w).bit_count()
                     groups[k] = groups.get(k, 0) | low
-                if len(groups) > 1:
-                    pieces = [groups[k] for k in sorted(groups)]
-                    out += pieces
-                    pending.update(pieces)
-                    pending.discard(cell if cell in pending
-                                    else max(pieces, key=int.bit_count))
-                    continue
-            out.append(cell)
+                pieces = [groups[k] for k in sorted(groups)]
+            if len(pieces) > 1:
+                out += pieces
+                pending.update(pieces)
+                pending.discard(cell if cell in pending
+                                else max(pieces, key=int.bit_count))
+            else:
+                out.append(cell)
         cells = out
     return cells
 
 
 def _search(layers, cells, fixed, leaves, autos):
-    """Record in `leaves` (code -> vertex order) every leaf below this node,
-    individualising each vertex of the first smallest non-singleton cell.
-    Two leaves with one code give an automorphism; a vertex that one fixing
-    `fixed` maps from a vertex tried is skipped."""
-    target = 0
+    """Record in `leaves` (code -> vertex order) every leaf below this node
+    and in `autos` the automorphisms they give, individualising each
+    vertex of the first smallest non-singleton cell; return the code of a
+    leaf below it, which a swap leaf of its parent shares."""
+    n = len(layers[0])
+    target, size = 0, n + 1
     for c in cells:
-        if c & (c - 1) and (not target or c.bit_count() < target.bit_count()):
-            target = c
+        if c & (c - 1) and c.bit_count() < size:
+            target, size = c, c.bit_count()
     if not target:
         order = [c.bit_length() - 1 for c in cells]
-        lift = {1 << v: 1 << p for p, v in enumerate(order)}
+        lift = [0] * n
+        for p, v in enumerate(order):
+            lift[v] = 1 << p
         code = 0
         for rows in layers:
             for v in order:
                 row, img = rows[v], 0
                 while row:
                     low = row & -row
-                    img |= lift[low]
+                    img |= lift[low.bit_length() - 1]
                     row ^= low
-                code = code << len(order) | img
+                code = code << n | img
         first = leaves.setdefault(code, order)
         if first is not order:
             autos.append(dict(zip(first, order)))
-        return
+        return code
     at = cells.index(target)
-    tried, rest = [], target
+    a = (target & -target).bit_length() - 1
+    tried, stab, seen, known = [], [], set(), 0
+    rest = target
     while rest:
         low = rest & -rest
         rest ^= low
         v = low.bit_length() - 1
-        if autos and tried and v in orbit(
-                tried, [p for p in autos if all(p[u] == u for u in fixed)]):
-            continue
-        tried.append(v)
+        if tried:
+            if len(autos) > known:
+                fresh = [p for p in autos[known:]
+                         if all(p[u] == u for u in fixed)]
+                known = len(autos)
+                if fresh:
+                    stab += fresh
+                    seen = orbit(tried, stab)
+            if stab and tried[-1] not in seen:
+                seen |= orbit(tried[-1:], stab)
+            if v in seen:
+                continue
         child = cells[:at] + [low, target ^ low] + cells[at + 1:]
-        _search(layers, _refine(layers, child, {low}), fixed + [v], leaves,
-                autos)
+        if len(child) < n:
+            child = _refine(layers, child, {low})
+        elif tried and all(
+                not (rows[a] ^ rows[v]) & ~target
+                and rows[a] >> a & 1 == rows[v] >> v & 1 for rows in layers):
+            autos.append(dict(zip(leaves[code],
+                                  [c.bit_length() - 1 for c in child])))
+            break
+        code = _search(layers, child, fixed + [v], leaves, autos)
+        tried.append(v)
+    return code
 
 
 def orbit(start, gens):

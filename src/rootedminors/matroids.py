@@ -9,6 +9,7 @@ elements.
 from __future__ import annotations
 
 import copy
+from collections import Counter
 from functools import cached_property, lru_cache
 from itertools import combinations
 from types import MappingProxyType
@@ -209,6 +210,18 @@ class BinaryMatroid:
         return tuple(minimal)
 
     @cached_property
+    def _small_circuits(self):
+        """(loops, parallel pairs, 3-circuits), counted from the columns
+        without building the circuits: a 3-circuit is three non-zero,
+        pairwise distinct columns that sum to zero, and each is counted
+        once, from its values x < y < x ^ y."""
+        count = Counter(self.columns.values())
+        loops = count.pop(0, 0)
+        return (loops, sum(k * (k - 1) // 2 for k in count.values()),
+                sum(count[x] * count[y] * count[x ^ y] for x in count
+                    for y in count if x < y < x ^ y))
+
+    @cached_property
     def _labelling(self):
         """(code, vertex order, generators) of the element-circuit incidence
         graph: vertex j is the j-th element, with one loop, and vertex
@@ -268,11 +281,14 @@ def validate_matroid_iso(m1, m2, mapping):
 def matroid_isomorphic(m1, m2):
     """A label bijection carrying m1 onto m2, or None.
 
-    The two element-circuit incidence graphs get one canonical labelling
-    each; the map zips the two vertex orders on the element vertices and
-    is confirmed by `validate_matroid_iso`, one row reduction.
+    The numbers of loops, parallel pairs and 3-circuits, read from the
+    columns, reject most non-isomorphic pairs before their circuits are
+    built.  The two element-circuit incidence graphs get one canonical
+    labelling each; the map zips the two vertex orders on the element
+    vertices and is confirmed by `validate_matroid_iso`, one row reduction.
     """
     if (m1.size != m2.size or m1.rank_value != m2.rank_value
+            or m1._small_circuits != m2._small_circuits
             or [c.bit_count() for c in m1._circuits]
             != [c.bit_count() for c in m2._circuits]):
         return None

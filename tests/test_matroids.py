@@ -325,6 +325,19 @@ def _circuit_cases():
     return cases
 
 
+def test_small_circuit_counts_match_the_circuits():
+    """Loops, parallel pairs and 3-circuits counted from the columns equal
+    the circuits of sizes 1, 2 and 3, on matroids with loops and parallel
+    classes and on every single-element contraction of R12."""
+    cases = _circuit_cases()
+    cases += [("R12/%d" % e, r12().contract(e)) for e in r12().elements]
+    assert any(m._small_circuits[0] and m._small_circuits[1]
+               for _, m in cases)
+    for name, m in cases:
+        sizes = [c.bit_count() for c in m._circuits]
+        assert m._small_circuits == tuple(sizes.count(k) for k in (1, 2, 3)), name
+
+
 def _eliminated_rank(columns):
     """GF(2) rank of column bitmasks by elimination on the highest bit."""
     basis = {}
