@@ -136,6 +136,10 @@ def _build_all():
         out[name] = CatalogEntry(
             name, _from_role_edges(role_edges, _G_LABELS), dict(_G_LABELS)
         )
+    g, labels = _plain(_FIG2_A_EDGES, 7)
+    out["FIG2_A"] = CatalogEntry("FIG2_A", g, labels)
+    g, labels = _plain(_FIG2_B_EDGES, 7)
+    out["FIG2_B"] = CatalogEntry("FIG2_B", g, labels)
     for name, extra in (
         ("FIG5_1", [("u1", "v"), ("v", "v2")]),
         ("FIG5_2", [("v3", "v"), ("v", "v2")]),
@@ -143,20 +147,12 @@ def _build_all():
     ):
         g, labels = _fig5(extra)
         out[name] = CatalogEntry(name, g, labels)
-    g, labels = _plain(_FIG2_A_EDGES, 7)
-    out["FIG2_A"] = CatalogEntry("FIG2_A", g, labels)
-    g, labels = _plain(_FIG2_B_EDGES, 7)
-    out["FIG2_B"] = CatalogEntry("FIG2_B", g, labels)
     return out
 
 
 _ENTRIES = _build_all()
 
-NAMES = (
-    "K33", "K33_01", "K33_02", "K33_11", "K33_12", "K33_22", "K33_03",
-    "K33_13", "K5", "G1", "G2", "G3", "G4", "G5", "G6",
-    "FIG2_A", "FIG2_B", "FIG5_1", "FIG5_2", "FIG5_3",
-)
+NAMES = tuple(_ENTRIES)
 
 
 def list_names():

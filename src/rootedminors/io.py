@@ -50,7 +50,7 @@ _G6_HEADER = ">>graph6<<"
 
 
 def from_graph6(text):
-    """Decode one graph6 line (simple graphs, n <= 62 is all we need)."""
+    """Decode one graph6 line of a simple graph on at most 62 vertices."""
     text = text.strip()
     if text.startswith(_G6_HEADER):
         text = text[len(_G6_HEADER):]
@@ -59,14 +59,9 @@ def from_graph6(text):
     data = [ord(c) - 63 for c in text]
     if any(x < 0 or x > 63 for x in data):
         raise GraphError("invalid graph6 character")
-    if data[0] == 63:
-        if len(data) < 4:
-            raise GraphError("truncated graph6 header")
-        n = (data[1] << 12) | (data[2] << 6) | data[3]
-        body = data[4:]
-    else:
-        n = data[0]
-        body = data[1:]
+    n, body = data[0], data[1:]
+    if n == 63:
+        raise GraphError("graph6 supports at most 62 vertices")
     bits = []
     for x in body:
         for k in range(5, -1, -1):
@@ -94,7 +89,7 @@ def to_graph6(g):
     index = {v: i for i, v in enumerate(order)}
     n = len(order)
     if n > 62:
-        raise GraphError("graph6 writer supports at most 62 vertices")
+        raise GraphError("graph6 supports at most 62 vertices")
     present = {(min(index[a], index[b]), max(index[a], index[b]))
                for a, b in g.edges.values()}
     bits = []
@@ -113,16 +108,12 @@ def to_graph6(g):
 
 
 def load_graph(path):
-    """Read a graph file; .g6/.graph6 is graph6, anything else JSON."""
+    """Read a graph file: JSON if its text starts with "{", else graph6."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except UnicodeDecodeError:
         raise GraphError("%s: not a UTF-8 text file" % path) from None
-    name = str(path).lower()
-    if name.endswith(".g6") or name.endswith(".graph6"):
-        return from_graph6(text)
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if text.lstrip().startswith("{"):
         return from_json(text)
     return from_graph6(text)

@@ -108,15 +108,9 @@ class BinaryMatroid:
                 raise MatroidError("unknown element %r" % (e,)) from None
         return mask
 
-    def rank(self, subset=None):
-        if subset is None:
-            return self.rank_value
+    def rank(self, subset):
         mask = self._mask(subset)
         return len(_rref([r & mask for r in self._rows]))
-
-    def rows(self):
-        """The matrix as row bitmasks (bit j = j-th element), reduced."""
-        return list(self._rows)
 
     def to_json_dict(self):
         return {

@@ -185,8 +185,7 @@ def test_triangle_searches_are_pinned(triangle_report):
 
 
 def test_family_minors_through_any_edge_pair_on_random_hosts():
-    report = verification.family_minor_sample(seed=0, hosts=500,
-                                              pairs_per_host=10)
+    report = verification.family_minor_sample(seed=0, hosts=500)
     assert report["pairs"] == 5000
     assert report["pass"], report["failures"][:10]
     assert report["rejected_models"] == []
@@ -211,6 +210,6 @@ def test_search_decisions_match_minor_oracle():
 
 
 def test_planarity_agrees_with_kuratowski_minors():
-    report = verification.wagner_consistency(7)
+    report = verification.wagner_consistency()
     assert report["graphs"] == 1044
     assert report["pass"], report["mismatches"]

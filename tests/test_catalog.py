@@ -22,6 +22,15 @@ def test_list_has_20_entries():
     assert set(catalog.list_names()) == set(EXPECTED_SIZES)
 
 
+def test_list_order_is_pinned():
+    """The order decides which patterns oracle_equivalence's seeded draws
+    pick."""
+    assert catalog.list_names() == [
+        "K33", "K33_01", "K33_02", "K33_11", "K33_12", "K33_22", "K33_03",
+        "K33_13", "K5", "G1", "G2", "G3", "G4", "G5", "G6",
+        "FIG2_A", "FIG2_B", "FIG5_1", "FIG5_2", "FIG5_3"]
+
+
 @pytest.mark.parametrize("name", sorted(EXPECTED_SIZES))
 def test_entry_sizes(name):
     g = catalog.build(name).graph

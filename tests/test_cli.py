@@ -5,7 +5,8 @@ import pytest
 
 from rootedminors import catalog, io
 from rootedminors.cli import FAIL, INCONCLUSIVE, PASS, USAGE, dispatch
-from rootedminors.multigraph import complete_graph
+from rootedminors.matroids import BinaryMatroid, r12, validate_matroid_iso
+from rootedminors.multigraph import LabeledMultigraph, complete_graph
 
 
 def _run(capsys, *argv):
@@ -136,6 +137,30 @@ def test_planarity_check(tmp_path, capsys):
     assert data["obstruction"]["pattern"] == "K33"
 
 
+def test_planarity_check_planar_host(tmp_path, capsys):
+    pairs = [(a, b) for a in range(6) for b in range(a + 1, 6)
+             if (a, b) not in {(0, 1), (2, 3), (4, 5)}]
+    octahedron = LabeledMultigraph(range(6), dict(enumerate(pairs, 1)))
+    host = tmp_path / "octahedron.g6"
+    host.write_text(io.to_graph6(octahedron))
+    code, out = _run(capsys, "--json", "planarity", "check", str(host))
+    assert code == PASS
+    assert json.loads(out) == {"planar": True}
+
+
+def test_planarity_certificate_passes_minor_verify(tmp_path, capsys):
+    host = tmp_path / "host.json"
+    host.write_text(io.to_json(catalog.build("K33_13").graph))
+    cert = tmp_path / "obstruction.json"
+    code, _ = _run(capsys, "planarity", "check", str(host),
+                   "--certificate", str(cert))
+    assert code == PASS
+    code, out = _run(capsys, "--json", "minor", "verify", str(cert),
+                     "--host", str(host))
+    assert code == PASS
+    assert json.loads(out) == {"valid": True, "diagnostics": []}
+
+
 def test_rounded_verify_family_a(tmp_path, capsys):
     report = tmp_path / "report.json"
     code, out = _run(capsys, "--json", "--output", str(report), "rounded",
@@ -191,6 +216,24 @@ def test_rounded_verify_custom_family_fails(tmp_path, capsys):
                      str(fam))
     assert code == FAIL
     assert json.loads(out)["verdict"] == "fail"
+
+
+def test_matroid_r12_rows_rebuild_r12(capsys):
+    code, out = _run(capsys, "--json", "matroid", "r12")
+    assert code == PASS
+    data = json.loads(out)
+    rebuilt = BinaryMatroid.from_rows(data["rows"], data["elements"])
+    assert validate_matroid_iso(rebuilt, r12(), {e: e for e in range(1, 13)})
+
+
+def test_matroid_r12_verify(capsys):
+    code, out = _run(capsys, "--json", "matroid", "r12", "--verify")
+    assert code == PASS
+    data = json.loads(out)
+    assert data["pass"] is True
+    assert len(data["checks"]) == 6
+    assert all(check["pass"] for check in data["checks"].values())
+    assert data["checks"]["pair_coverage"]["covered"] == 66
 
 
 def test_matroid_minor(capsys):
@@ -422,3 +465,38 @@ def test_certificate_with_malformed_field(tmp_path, capsys, change):
     data.update(change)
     cert.write_text(json.dumps(data))
     _usage_error(capsys, ["minor", "verify", str(cert), "--host", str(host)])
+
+
+def test_missing_host_file(tmp_path, capsys):
+    err = _usage_error(capsys, ["minor", "find", "--host",
+                                str(tmp_path / "absent.json"),
+                                "--pattern", "K5"])
+    assert "absent.json" in err
+
+
+def test_long_form_graph6_host(tmp_path, capsys):
+    host = tmp_path / "host.g6"
+    host.write_text("~??~" + "?" * 326)
+    err = _usage_error(capsys, ["minor", "find", "--host", str(host),
+                                "--pattern", "K5"])
+    assert "at most 62 vertices" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["triangle", "--triangle", "1,2"], "exactly three edge ids"),
+    (["find", "--pattern", "K5", "--require", "x"],
+     "comma-separated edge ids"),
+], ids=["two-edge-triangle", "non-integer-require"])
+def test_malformed_edge_ids(tmp_path, capsys, argv, message):
+    host = tmp_path / "host.json"
+    host.write_text(io.to_json(catalog.build("K33_11").graph))
+    err = _usage_error(capsys, ["minor", argv[0], "--host", str(host),
+                                *argv[1:]])
+    assert message in err
+
+
+def test_family_file_holding_an_object(tmp_path, capsys):
+    fam = tmp_path / "family.json"
+    fam.write_text(json.dumps({"family": ["K33"]}))
+    err = _usage_error(capsys, ["rounded", "verify", "--family", str(fam)])
+    assert "expected a JSON list" in err

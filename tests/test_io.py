@@ -69,6 +69,15 @@ def test_graph6_header_accepted():
     assert io.from_graph6(">>graph6<<D~{").n == 5
 
 
+def test_graph6_rejects_the_long_form():
+    """A "~" header marks n > 62, which neither reader nor writer takes."""
+    empty_63 = "~??~" + "?" * (63 * 62 // 2 // 6 + 1)
+    with pytest.raises(GraphError, match="at most 62 vertices"):
+        io.from_graph6(empty_63)
+    with pytest.raises(GraphError, match="at most 62 vertices"):
+        io.to_graph6(LabeledMultigraph(range(63), {}))
+
+
 def test_graph6_rejects_multigraphs():
     g = LabeledMultigraph({0, 1}, {1: (0, 1), 2: (0, 1)})
     with pytest.raises(GraphError):
@@ -93,3 +102,10 @@ def test_load_graph_sniffs_format(tmp_path):
     bare = tmp_path / "noext"
     bare.write_text(io.to_graph6(g))
     assert are_isomorphic(io.load_graph(bare), g) is not None
+
+
+def test_load_graph_reads_json_whatever_the_file_name(tmp_path):
+    g = catalog.build("K33_01").graph
+    path = tmp_path / "g.g6"
+    path.write_text(io.to_json(g))
+    assert io.load_graph(path) == g

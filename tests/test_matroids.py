@@ -6,7 +6,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from rootedminors import catalog, generate, matroids
+from rootedminors import catalog, generate, matroids, minors
 from rootedminors.isomorphism import orbit
 from rootedminors.matroids import (
     BinaryMatroid,
@@ -19,7 +19,7 @@ from rootedminors.matroids import (
     validate_matroid_iso,
     verify_r12_claims,
 )
-from rootedminors.multigraph import LabeledMultigraph
+from rootedminors.multigraph import LabeledMultigraph, complete_graph
 
 
 def test_r12_shape():
@@ -506,3 +506,40 @@ def test_every_r12_pair_witness_is_pinned():
         json.dumps(witnesses, sort_keys=True).encode()).hexdigest()
     assert digest == (
         "765c6817b1089541be59a21276bdc5a5a95de82c661141e1c9f375ca7d9dc233")
+
+
+def test_graphic_minor_search_skips_dependent_contractions(monkeypatch):
+    """Contracting 3 of K33_11's 11 edges to reach a triangle's matroid
+    meets contraction sets that hold one of its 6 triangles.  The search
+    skips them, and it agrees with find_minor on every edge pair and every
+    three edges at one vertex."""
+    host = catalog.build("K33_11").graph
+    triangle = complete_graph(3)
+    m, target = cycle_matroid(host), cycle_matroid(triangle)
+    dependent = []
+    contract_many = BinaryMatroid.contract_many
+
+    def spy(self, es):
+        out = contract_many(self, es)
+        if self is m and out.rank_value != target.rank_value:
+            dependent.append(frozenset(es))
+        return out
+
+    monkeypatch.setattr(BinaryMatroid, "contract_many", spy)
+    queries = [frozenset(pair) for pair in combinations(sorted(host.edges), 2)]
+    queries += [frozenset(three) for v in host.sorted_vertices()
+                for three in combinations(host.incident(v), 3)]
+    verdicts = []
+    for required in queries:
+        witness = matroid_has_minor(m, target, required=required)
+        model = minors.find_minor(host, triangle, required=required)
+        assert (witness is None) == (model is None), sorted(required)
+        verdicts.append(witness is not None)
+        if witness is not None:
+            cset, dset = witness
+            assert not required & (cset | dset)
+            minor = m.contract_many(cset).delete_many(dset)
+            assert matroid_isomorphic(minor, target) is not None
+    assert (verdicts.count(True), verdicts.count(False)) == (55, 18)
+    assert len(dependent) == 42
+    assert all(m.rank(cset) < 3 for cset in dependent)
