@@ -152,6 +152,11 @@ def _build_all():
 
 _ENTRIES = _build_all()
 
+# K33_11/u1v1 = K5, so K5 is a minor of K33_11 and a graph without a
+# K5-minor has none of K33_11: (graph, edge roles, contraction).
+# verification.catalog_identities checks it, and exhaustive_scan reads it.
+K33_11_CONTRACTS_TO_K5 = ("K33_11", "u1", "v1", "K5")
+
 NAMES = tuple(_ENTRIES)
 
 

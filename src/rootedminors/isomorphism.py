@@ -143,12 +143,15 @@ def _search(layers, cells, fixed, leaves, autos):
 
 
 def orbit(start, gens):
-    """The orbit of the items `start` under the group `gens` generates."""
+    """The orbit of the items `start` under the group `gens` generates.
+    The items share one shape, read once from the first: a vertex, or a
+    tuple or frozenset of items."""
     found, stack = set(start), list(start)
+    rename = _renamer(stack[0]) if stack and gens else None
     while stack:
         x = stack.pop()
         for p in gens:
-            y = _renamed(p, x)
+            y = rename(p, x)
             if y not in found:
                 found.add(y)
                 stack.append(y)
@@ -167,9 +170,20 @@ def orbit_firsts(items, autos):
     return firsts
 
 
-def _renamed(p, item):
-    return p[item] if type(item) is int else type(item)(
-        _renamed(p, x) for x in item)
+def _renamer(item):
+    """A function (p, x) that renames the vertices of an item x shaped like
+    `item` by the vertex map p; a tuple is read position by position, and
+    a frozenset by the shape of one of its members."""
+    if type(item) is int:
+        return dict.__getitem__
+    kind = type(item)
+    if all(type(x) is int for x in item):
+        return lambda p, x: kind(map(p.__getitem__, x))
+    if kind is tuple:
+        parts = [_renamer(x) for x in item]
+        return lambda p, x: tuple(f(p, y) for f, y in zip(parts, x))
+    part = _renamer(next(iter(item)))
+    return lambda p, x: kind(part(p, y) for y in x)
 
 
 def canonical_labeling(g):

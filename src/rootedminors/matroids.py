@@ -205,15 +205,29 @@ class BinaryMatroid:
 
     @cached_property
     def _small_circuits(self):
-        """(loops, parallel pairs, 3-circuits), counted from the columns
-        without building the circuits: a 3-circuit is three non-zero,
-        pairwise distinct columns that sum to zero, and each is counted
-        once, from its values x < y < x ^ y."""
+        """The numbers of circuits of sizes 1 to 4, counted from the columns
+        without building the circuits.  A loop is a zero column and a
+        parallel pair two equal ones.  A 3- or 4-circuit takes one element
+        of each of three or four distinct non-zero column values that sum
+        to zero.  Both are read off w(s), the total weight of the value
+        pairs with sum s, a pair weighing the product of its values'
+        multiplicities; each circuit is counted three times.  The sum of
+        w(s) times the multiplicity of s counts a 3-circuit once per pair
+        of its values, since each pair sums to the third.  A 4-circuit's
+        values split in three ways into two pairs with one sum, and two
+        distinct pairs with one sum share no value, so summing over s the
+        products of two distinct pairs with sum s, (w(s)^2 less the
+        squares of those pairs' weights) / 2, counts it once per split."""
         count = Counter(self.columns.values())
         loops = count.pop(0, 0)
+        w = {}
+        for (x, a), (y, b) in combinations(count.items(), 2):
+            w[x ^ y] = w.get(x ^ y, 0) + a * b
+        squares = [k * k for k in count.values()]
+        pair_squares = (sum(squares) ** 2 - sum(q * q for q in squares)) // 2
         return (loops, sum(k * (k - 1) // 2 for k in count.values()),
-                sum(count[x] * count[y] * count[x ^ y] for x in count
-                    for y in count if x < y < x ^ y))
+                sum(ws * count.get(s, 0) for s, ws in w.items()) // 3,
+                (sum(ws * ws for ws in w.values()) - pair_squares) // 6)
 
     @cached_property
     def _labelling(self):
@@ -275,11 +289,14 @@ def validate_matroid_iso(m1, m2, mapping):
 def matroid_isomorphic(m1, m2):
     """A label bijection carrying m1 onto m2, or None.
 
-    The numbers of loops, parallel pairs and 3-circuits, read from the
-    columns, reject most non-isomorphic pairs before their circuits are
-    built.  The two element-circuit incidence graphs get one canonical
-    labelling each; the map zips the two vertex orders on the element
-    vertices and is confirmed by `validate_matroid_iso`, one row reduction.
+    The screen runs in three steps, each only on the pairs the one before
+    lets through:
+    1. the numbers of loops, parallel pairs, 3- and 4-circuits, read from
+       the columns without building the circuits;
+    2. the sizes of all the circuits;
+    3. one canonical labelling of each element-circuit incidence graph.
+    The map zips the two vertex orders on the element vertices and is
+    confirmed by `validate_matroid_iso`, one row reduction.
     """
     if (m1.size != m2.size or m1.rank_value != m2.rank_value
             or m1._small_circuits != m2._small_circuits

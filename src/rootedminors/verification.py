@@ -59,9 +59,10 @@ def catalog_identities():
     are forced by edge counts (for example G4/u3w2 loses three edges after
     simplification and lands on K3,3 itself).
     """
+    graph, ra, rb, minor = catalog.K33_11_CONTRACTS_TO_K5
     checks = [
-        ("K33_11/u1v1 = K5",
-         _iso_to(_contract_roles("K33_11", "u1", "v1"), "K5")),
+        ("%s/%s%s = %s" % (graph, ra, rb, minor),
+         _iso_to(_contract_roles(graph, ra, rb), minor)),
         ("si(G1/u3w2) = K33",
          _iso_to(_contract_roles("G1", "u3", "w2"), "K33", simplify=True)),
         ("G1/u3v1 = K33_01",
@@ -112,8 +113,11 @@ def exhaustive_scan(max_n=8, node_cap=DEFAULT_NODE_CAP):
     """K5 / K33_11 equivalence and triangle preservation in one pass.
 
     A planar host gets no search (K5 and K33_11 are non-planar, and
-    planarity is minor-closed); a non-planar one gets one unpinned K5 and
-    one unpinned K33_11 search, whose answers must agree except on K5.
+    planarity is minor-closed); a non-planar one gets one unpinned K5
+    search and, when it finds K5, one unpinned K33_11 search.  A host
+    without a K5-minor has no K33_11-minor by the catalog identity
+    K33_11/u1v1 = K5, which catalog_identities checks.  The answers must
+    agree except on K5.
 
     The triangles of a host with a K33_11-minor are then taken in order,
     and each target searches only those that none of its verified models
@@ -131,6 +135,7 @@ def exhaustive_scan(max_n=8, node_cap=DEFAULT_NODE_CAP):
     """
     targets = (("K33_11", minors.preserve_triangle_k331),
                ("K5", minors.preserve_triangle_k5))
+    graph, _, _, minor = catalog.K33_11_CONTRACTS_TO_K5
     checked = hosts = triangles = 0
     failures, unpinned_rejected, rejected_models = [], [], []
     misses = {target: [] for target, _ in targets}
@@ -142,16 +147,18 @@ def exhaustive_scan(max_n=8, node_cap=DEFAULT_NODE_CAP):
             continue
         g6 = to_graph6(g)
         covers = {target: minors.Cover() for target in misses}
-        found = {}
-        for target in ("K5", "K33_11"):
+        found = dict.fromkeys((minor, graph), False)
+        for target in found:
             model = minors.find_minor(g, target, node_cap=node_cap)
-            found[target] = model is not None
-            if found[target] and (diagnostics := covers[target].admit(model)):
+            if model is None:
+                break  # no K5-minor: no K33_11-minor either
+            found[target] = True
+            if diagnostics := covers[target].admit(model):
                 unpinned_rejected.append({"graph6": g6, "target": target,
                                           "diagnostics": diagnostics})
-        if not is_k5 and found["K5"] != found["K33_11"]:
+        if not is_k5 and found[minor] != found[graph]:
             failures.append({"graph6": g6})
-        if not found["K33_11"]:
+        if not found[graph]:
             continue
         hosts += 1
         for tri in g.triangles():

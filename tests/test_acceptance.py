@@ -35,6 +35,8 @@ COUNTEREXAMPLES = Path(__file__).parent / "data" / \
 def test_contraction_identities():
     report = verification.catalog_identities()
     assert report["pass"], report["checks"]
+    # the identity the exhaustive scan reads
+    assert report["checks"][0] == ("K33_11/u1v1 = K5", True)
 
 
 def test_extension_families_are_two_rounded():
@@ -82,6 +84,11 @@ def test_exhaustive_scan_asks_each_unpinned_question_once(monkeypatch):
     assert len(tri["failures_k331"]) == 5
     assert tri["failures_k5"] == [] and tri["rejected_models"] == []
     assert len(asked) == len(set(asked)), "an unpinned question asked twice"
+    # the 20 non-planar hosts without a K5-minor are not asked K33_11
+    assert len(asked) == 206
+    k5_free = {g6 for g6, name in asked if name == "K5"} - {
+        g6 for g6, name in asked if name == "K33_11"}
+    assert len(k5_free) == 20
     assert not any(minors.is_planar(io.from_graph6(g6)) for g6, _ in asked)
 
 

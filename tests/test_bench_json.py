@@ -12,8 +12,8 @@ bench_json = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_json)
 
 
-def _write_run(path, metrics, correct=True):
-    result = {"correct": correct, "attempted": 10, "failed": 0,
+def _write_run(path, metrics, correct=True, attempted=10):
+    result = {"correct": correct, "attempted": attempted, "failed": 0,
               "metrics": {k: {"value": v, "unit": "s"}
                           for k, v in metrics.items()}}
     path.write_text("progress line\n" + json.dumps(result) + "\n")
@@ -45,6 +45,24 @@ def test_medians_and_pairs(tmp_path):
     assert row["change_over_parent"] == pytest.approx(0.8)
     assert pairs["traced"]["1"] == {"parent": {"layer_s": 1.0},
                                     "change": {"layer_s": 0.5}}
+
+
+def test_each_run_keeps_its_attempted_calls(tmp_path):
+    """A run's call count sits beside its metrics, pair by pair, so a
+    memory move can be read against the rounds each run made."""
+    for side, by_seed in {"parent": {1: (4.0, 30), 2: (6.0, 20)},
+                          "change": {1: (3.0, 45), 2: (5.0, 25)}}.items():
+        (tmp_path / side).mkdir()
+        for seed, (v, attempted) in by_seed.items():
+            _write_run(tmp_path / side / ("pairs-seed%d.out" % seed),
+                       {"peak_rss_mb": v}, attempted=attempted)
+    out = tmp_path / "BENCH.json"
+    assert bench_json.main([str(tmp_path), "--parent-commit", "a",
+                            "--change-commit", "b", "--out", str(out)]) == 0
+    pairs = json.loads(out.read_text())["workloads"]["pairs"]
+    assert pairs["seeds"] == [1, 2]
+    assert pairs["attempted"] == {"parent": [30, 20], "change": [45, 25]}
+    assert pairs["metrics"]["peak_rss_mb"]["change"] == [3.0, 5.0]
 
 
 @pytest.mark.parametrize("problem", ["unpaired", "incorrect"])

@@ -2,6 +2,7 @@
 import hashlib
 import json
 import random
+from functools import cached_property
 from itertools import combinations, permutations
 
 import pytest
@@ -326,16 +327,59 @@ def _circuit_cases():
 
 
 def test_small_circuit_counts_match_the_circuits():
-    """Loops, parallel pairs and 3-circuits counted from the columns equal
-    the circuits of sizes 1, 2 and 3, on matroids with loops and parallel
+    """Loops, parallel pairs, 3- and 4-circuits counted from the columns
+    equal the circuits of sizes 1 to 4, on matroids with loops and parallel
     classes and on every single-element contraction of R12."""
     cases = _circuit_cases()
     cases += [("R12/%d" % e, r12().contract(e)) for e in r12().elements]
     assert any(m._small_circuits[0] and m._small_circuits[1]
                for _, m in cases)
+    assert any(m._small_circuits[3] and m.simplify().size != m.size
+               for _, m in cases)
     for name, m in cases:
         sizes = [c.bit_count() for c in m._circuits]
-        assert m._small_circuits == tuple(sizes.count(k) for k in (1, 2, 3)), name
+        assert m._small_circuits == tuple(
+            sizes.count(k) for k in (1, 2, 3, 4)), name
+
+
+def test_small_circuit_counts_ignore_labels_and_row_operations():
+    """A copy with its elements renamed and held in another order, whose
+    rows are mixed by random row operations, gets the same four counts."""
+    rng = random.Random(27)
+    for _ in range(50):
+        m = _random_binary_matroid(rng)
+        order = rng.sample(m.elements, m.size)
+        rows = _rows_of_columns([m.columns[e] for e in order], m.rank_value)
+        for _ in range(3 * len(rows) if len(rows) > 1 else 0):
+            i, j = rng.sample(range(len(rows)), 2)
+            rows[i] ^= rows[j]
+        copy = BinaryMatroid(["x%d" % e for e in order], rows)
+        assert validate_matroid_iso(
+            m, copy, {e: "x%d" % e for e in m.elements})
+        assert copy._small_circuits == m._small_circuits, m
+
+
+def test_r12_pair_queries_build_circuits_only_for_their_witnesses(
+        monkeypatch):
+    """R12 against the four family-(a) cycle matroids on all 66 element
+    pairs: every candidate that is not isomorphic to its target differs
+    from it on the circuits of up to four elements, so circuits are built
+    once per positive answer, for the witness, and never otherwise."""
+    built = []
+    circuits = BinaryMatroid._circuits.func
+    counted = cached_property(lambda self: built.append(self) or circuits(self))
+    counted.__set_name__(BinaryMatroid, "_circuits")
+    monkeypatch.setattr(BinaryMatroid, "_circuits", counted)
+    m = r12()
+    targets = [cycle_matroid(catalog.build(name).graph)
+               for name in ("K33", "K33_01", "K33_02", "K33_11")]
+    for t in targets:
+        t._circuits
+    built.clear()
+    positives = sum(
+        matroid_has_minor(m, t, required=pair) is not None
+        for pair in combinations(m.elements, 2) for t in targets)
+    assert positives == 132 and len(built) == 132
 
 
 def _eliminated_rank(columns):

@@ -8,9 +8,10 @@ them is the standard output of one `bench/run.py` run, named
 `<workload>-seed<n>.out` for an untraced run and `<workload>-seed<n>.trace.out`
 for a `--trace 1` run; its last line is the run's result.  A run of one
 side pairs with the run of the other side on the same workload and seed.
-For every workload the output gives the seeds, each metric's value per
-pair, and each side's median and quartiles; for every traced run, its
-per-layer metrics.
+For every workload the output gives the seeds, each run's `attempted`
+(the calls its rounds made, so the rounds it ran in the fixed time), each
+metric's value per pair, and each side's median and quartiles; for every
+traced run, its per-layer metrics.
 """
 from __future__ import annotations
 
@@ -60,8 +61,9 @@ def summarise(runs, parent_commit, change_commit, note):
         raise ValueError("runs without a partner: %s" % unpaired)
     workloads = {}
     for workload, seed, traced in sorted(parent):
-        entry = workloads.setdefault(workload, {"seeds": [], "metrics": {},
-                                                "traced": {}})
+        entry = workloads.setdefault(workload, {
+            "seeds": [], "attempted": {side: [] for side in SIDES},
+            "metrics": {}, "traced": {}})
         pair = [side[(workload, seed, traced)] for side in runs]
         if traced:
             entry["traced"][str(seed)] = {
@@ -69,6 +71,8 @@ def summarise(runs, parent_commit, change_commit, note):
                 for side, r in zip(SIDES, pair)}
             continue
         entry["seeds"].append(seed)
+        for side, r in zip(SIDES, pair):
+            entry["attempted"][side].append(r["attempted"])
         for metric, value in pair[0]["metrics"].items():
             row = entry["metrics"].setdefault(
                 metric, {"unit": value["unit"], "parent": [], "change": []})
